@@ -13,6 +13,9 @@
 //! - **schedule quality**: `sched_cycles` and `schedule_rows` may not
 //!   exceed the baseline (an optimization PR must not buy wall time with
 //!   cycles);
+//! - **scheduler work**: `grip_iterations` (pick rounds) may not exceed
+//!   the baseline — the one cost figure that repeats exactly from run to
+//!   run, so it gates where wall times cannot;
 //! - **bound soundness**: a candidate cell may not undercut its own
 //!   `bound_cycles` certificate.
 //!
@@ -47,6 +50,7 @@ struct Cell {
     bound_cycles: i64,
     hazard_delay_rows: i64,
     hazard_backfills: i64,
+    grip_iterations: i64,
     stage_us: BTreeMap<&'static str, f64>,
 }
 
@@ -84,6 +88,7 @@ fn load_cells(path: &str, doc: &Json) -> BTreeMap<(String, String), Cell> {
                 bound_cycles: i("bound_cycles"),
                 hazard_delay_rows: i("hazard_delay_rows"),
                 hazard_backfills: i("hazard_backfills"),
+                grip_iterations: i("grip_iterations"),
                 stage_us: STAGES.iter().map(|&k| (k, f(k))).collect(),
             },
         );
@@ -257,6 +262,12 @@ fn diff_machines(base_path: &str, base_doc: &Json, cand_path: &str, cand_doc: &J
                 b.schedule_rows, c.schedule_rows
             ));
         }
+        if c.grip_iterations > b.grip_iterations {
+            regressions.push(format!(
+                "{cell}: grip_iterations regressed {} -> {}",
+                b.grip_iterations, c.grip_iterations
+            ));
+        }
         // Bound soundness: the candidate may not undercut its own proof.
         if c.schedule_rows < c.bound_cycles {
             regressions.push(format!(
@@ -302,6 +313,11 @@ fn diff_machines(base_path: &str, base_doc: &Json, cand_path: &str, cand_doc: &J
         cand.values().map(|c| c.hazard_backfills).sum::<i64>(),
     );
     println!("  delay rows   {db} -> {dc}; backfills {bb} -> {bc}");
+    let (pb, pc) = (
+        base.values().map(|c| c.grip_iterations).sum::<i64>(),
+        cand.values().map(|c| c.grip_iterations).sum::<i64>(),
+    );
+    println!("  grip_iterations {pb} -> {pc}");
 
     report(regressions, &format!("{} cells", base.len()));
 }

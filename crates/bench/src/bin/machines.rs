@@ -205,12 +205,11 @@ fn main() {
     let breaches = budget_path.as_deref().map(|p| check_budget(p, &cells)).unwrap_or_default();
 
     if bad.is_empty() && unsound.is_empty() && unaccounted.is_empty() && breaches.is_empty() {
-        let exits = cells.iter().filter(|c| c.bound_exit).count();
         let at_bound = cells.iter().filter(|c| c.bounds.at_bound).count();
         println!(
             "\nAll cells verified against sequential execution and audit-clean; \
              no template violations, no interlock stalls; every bound certificate \
-             sound ({at_bound} cells at their proven bound, {exits} bound-driven exits); \
+             sound ({at_bound} cells at their proven bound); \
              stage timings account for every cell's wall time."
         );
         if budget_path.is_some() {

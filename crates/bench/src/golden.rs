@@ -39,6 +39,8 @@ pub struct GoldenCell {
     /// Latency-aware model cycles of the scheduled program (the bar a
     /// waived cell must not regress).
     pub sched_cycles: u64,
+    /// Candidate-selection rounds the scheduler ran (`stats.picks`).
+    pub picks: u64,
 }
 
 impl GoldenCell {
@@ -50,6 +52,7 @@ impl GoldenCell {
             .field("digest", format!("{:016x}", self.digest).as_str())
             .field("rows", self.rows)
             .field("sched_cycles", self.sched_cycles)
+            .field("picks", self.picks)
     }
 }
 
@@ -94,6 +97,7 @@ pub fn golden_cell(k: &Kernel, n: i64, desc: MachineDesc) -> GoldenCell {
         digest,
         rows: rep.steady.len(),
         sched_cycles,
+        picks: rep.stats.picks,
     }
 }
 

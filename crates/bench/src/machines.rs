@@ -56,11 +56,8 @@ pub struct MachineCell {
     pub audit_diagnostics: usize,
     /// The `grip-bounds` certificate for this cell's steady window.
     pub bounds: grip_bounds::BoundCertificate,
-    /// The scheduler stopped iterating because the live region matched
-    /// the pigeonhole resource bound.
-    pub bound_exit: bool,
-    /// Candidate-selection rounds the scheduler ran (`stats.picks`) —
-    /// what a bound-driven exit reduces.
+    /// Candidate-selection rounds the scheduler ran (`stats.picks`): the
+    /// one per-cell cost figure that repeats exactly from run to run.
     pub grip_iterations: u64,
     /// Unwind factor the cell was scheduled with (scales the bound to
     /// whole-program cycles for the soundness gate).
@@ -89,7 +86,6 @@ impl MachineCell {
             .field("binding_constraint", self.bounds.binding_constraint.as_str())
             .field("gap_pct", self.bounds.gap_pct)
             .field("at_bound", self.bounds.at_bound)
-            .field("bound_exit", self.bound_exit)
             .field("grip_iterations", self.grip_iterations)
             .field("unwind", self.unwind as u64)
             .field("prepare_us", self.timings.prepare_ns as f64 / 1000.0)
@@ -190,7 +186,6 @@ pub fn measure_machine(k: &Kernel, n: i64, desc: MachineDesc) -> MachineCell {
         audit_clean: rep.audit.as_ref().is_some_and(|a| a.is_clean()),
         audit_diagnostics: rep.audit.as_ref().map_or(0, |a| a.diagnostics.len()),
         bounds: rep.bounds,
-        bound_exit: rep.stats.bound_exits > 0,
         grip_iterations: rep.stats.picks,
         unwind,
     }

@@ -197,9 +197,7 @@ impl OpCounts {
 
 /// The pigeonhole resource bound: the minimum number of template-respecting
 /// rows that can hold `counts`, and which cap binds. Every scheduler row
-/// obeys the issue template, so this bounds any schedule of the op set —
-/// it is also the early-exit criterion the GRiP loop tests against its
-/// live region.
+/// obeys the issue template, so this bounds any schedule of the op set.
 pub fn res_rows_bound(counts: &OpCounts, desc: &MachineDesc) -> (u64, BindingConstraint) {
     let ceil = |n: usize, d: usize| n.div_ceil(d) as u64;
     // Any non-empty window needs one row; ties keep the width label.

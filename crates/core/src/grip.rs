@@ -120,9 +120,6 @@ pub struct ScheduleStats {
     pub hazard_backfills: u64,
     /// Rows emptied by backfill and reclaimed by the post-pass.
     pub hazard_reclaimed_rows: u64,
-    /// Iteration-loop exits taken because the live region already matched
-    /// the class-aware pigeonhole resource bound (provably row-optimal).
-    pub bound_exits: u64,
 }
 
 /// One event of a traced schedule.
@@ -169,9 +166,9 @@ pub enum TraceEvent {
 /// * `dead_sweep` — incremental dead-op sweeping and the DCE / empty-row
 ///   passes between nodes.
 ///
-/// The four phases don't cover the whole `grip` span (the bound-exit
-/// check, hazard post-pass, and loop bookkeeping fall outside), so they
-/// are reported as self-times, not a decomposition.
+/// The four phases don't cover the whole `grip` span (the hazard
+/// post-pass, the per-pick room check, and loop bookkeeping fall
+/// outside), so they are reported as self-times, not a decomposition.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Candidate-list refresh + scan nanoseconds.
@@ -329,8 +326,8 @@ pub struct Grip<'g, 'a> {
     gap_seen: VisitScratch,
     below_seen: VisitScratch,
     pt_seen: VisitScratch,
-    /// `parent_toward` results, valid while the edge structure is
-    /// unchanged (op hops between existing rows don't invalidate it).
+    /// The parent map [`Grip::parent_toward`] reads (stamped with
+    /// `pt_gen`), filled by one DFS per `(node, edge version)` key.
     pt_stamp: Vec<u64>,
     pt_val: Vec<Option<(NodeId, TreePath)>>,
     pt_gen: u64,
@@ -341,6 +338,10 @@ pub struct Grip<'g, 'a> {
     /// list is live; stale entries are skipped lazily).
     cand: Vec<(grip_analysis::Priority, OpId)>,
     cand_key: (u64, u64),
+    /// Where the next scan of `cand` resumes (the last entry returned),
+    /// and the first candidate row that scan was taken under.
+    cand_cursor: usize,
+    cand_start: usize,
     /// Lowest region index the dead-op sweep has covered this epoch (a
     /// falling suspension floor re-exposes rows that must be re-swept).
     dead_start: usize,
@@ -384,6 +385,8 @@ impl<'g, 'a> Grip<'g, 'a> {
             pt_key: None,
             cand: Vec::new(),
             cand_key: (0, 0),
+            cand_cursor: 0,
+            cand_start: 0,
             dead_start: usize::MAX,
             stats: ScheduleStats::default(),
             phases: PhaseTimes::default(),
@@ -427,32 +430,12 @@ impl<'g, 'a> Grip<'g, 'a> {
         // reads the clock or the registry, so schedules are bit-identical
         // with instrumentation on.
         let _span = grip_obs::span!("grip");
-        // Bound-driven early exit, on machines with per-class caps only.
-        // Scheduling a node only pulls operations *upward* from rows below
-        // it, so once the cursor stands at row `i` the suffix `i..` is a
-        // closed subproblem: its op multiset can no longer grow, and its
-        // row count can only fall toward the grip-bounds lower bound of
-        // that multiset (class pigeonhole, or the latency-weighted
-        // dataflow critical path — the same analyses the post-scheduling
-        // certificate is built from; the recurrence bound is excluded
-        // because a mid-region suffix does not wrap through the back
-        // edge). When the live suffix already meets its bound, every
-        // remaining visit is a candidate-selection round that provably
-        // cannot shrink the schedule — stop iterating. Uniform-width
-        // machines are excluded to keep their schedules bit-for-bit the
-        // paper's (and a width-1 machine would trivially "exit" before
-        // scheduling at all).
-        let exit_on_bound = self.cfg.resources.desc().has_class_caps();
         let mut i = 0;
         while i < self.region.len() {
             let n = self.region[i];
             if !self.g.node_exists(n) {
                 self.remove_from_region(n);
                 continue;
-            }
-            if exit_on_bound && self.suffix_at_bound(i) {
-                self.stats.bound_exits += 1;
-                break;
             }
             if self.cfg.trace {
                 self.trace.push(TraceEvent::Node(n));
@@ -485,35 +468,6 @@ impl<'g, 'a> Grip<'g, 'a> {
             region: self.region,
             phases: self.phases,
         }
-    }
-
-    /// True when the live rows from region position `from` onward already
-    /// pack into the minimum row count the static prover can justify for
-    /// their op multiset: the class pigeonhole
-    /// ([`grip_bounds::res_rows_bound`]), or — only when the cheap
-    /// pigeonhole does not close — the latency-weighted dataflow critical
-    /// path from [`grip_bounds::analyze`]. A read-only check: when it
-    /// never fires, the schedule is bit-identical to an unchecked run.
-    fn suffix_at_bound(&self, from: usize) -> bool {
-        let live: Vec<NodeId> =
-            self.region[from..].iter().copied().filter(|&n| self.g.node_exists(n)).collect();
-        let mut counts = grip_bounds::OpCounts::default();
-        for &n in &live {
-            for &(_, op) in self.g.node_ops(n) {
-                counts.add(self.g.op(op).kind);
-            }
-        }
-        if counts.noncj + counts.cjs == 0 {
-            return false;
-        }
-        let desc = self.cfg.resources.desc();
-        let rows = live.len() as u64;
-        let (res, _) = grip_bounds::res_rows_bound(&counts, desc);
-        if rows == res {
-            return true;
-        }
-        let ana = grip_bounds::analyze(self.g, &live, self.ctx.ddg, desc);
-        rows == ana.res_mii.max(ana.critical_path)
     }
 
     /// `procedure schedule(n)`: fill `n` with the best moveable operations.
@@ -581,6 +535,14 @@ impl<'g, 'a> Grip<'g, 'a> {
     /// rescan would have chosen (stable sort: priority ties keep the
     /// region scan order the rescan used).
     ///
+    /// Within an epoch a skipped entry stays skipped: skip marks only
+    /// accumulate, removed ops never return, and a suspension is only
+    /// lifted by a hop (a new epoch) or by the deadlock guard, which
+    /// freezes the op instead. So each scan resumes at the entry the last
+    /// one returned. The one exception is a falling suspension floor,
+    /// which re-exposes entries skipped for sitting above it: the scan
+    /// then starts over.
+    ///
     /// Timing wrapper: the whole call is `cand_refresh` self time, minus
     /// whatever the nested [`Grip::sweep_dead`] attributed to
     /// `dead_sweep`. Reading the clock changes no decision — the inner
@@ -629,6 +591,7 @@ impl<'g, 'a> Grip<'g, 'a> {
                 }
             }
             self.cand.sort_by_key(|&(p, _)| p);
+            self.cand_cursor = 0;
         } else if start < self.dead_start {
             // The suspension floor dropped without a structural change
             // (deadlock-guard unsuspension): rows between the new and old
@@ -636,23 +599,27 @@ impl<'g, 'a> Grip<'g, 'a> {
             self.sweep_dead(start, self.dead_start);
             self.dead_start = start;
         }
-        for &(_, op) in &self.cand {
-            if is_marked(&self.dep_skip, self.dep_epoch, op)
-                || is_marked(&self.res_skip, self.res_epoch, op)
-                || (!self.suspended.is_empty() && self.suspended.contains(&op))
-            {
-                continue;
-            }
-            // Stale entries: removed ops have no placement; the floor
-            // filter applies to the op's (frozen) current row.
-            let Some(m) = self.g.placement(op) else { continue };
-            let Some(mp) = self.pos.get(m) else { continue };
-            if mp < start {
-                continue;
-            }
-            return Some(op);
+        if start < self.cand_start {
+            self.cand_cursor = 0;
         }
-        None
+        self.cand_start = start;
+        // Stale entries: removed ops have no placement; the floor filter
+        // applies to the op's (frozen) current row.
+        let from = self.cand_cursor;
+        let hit = self.cand[from..].iter().position(|&(_, op)| {
+            !self.frozen(op)
+                && self.g.placement(op).and_then(|m| self.pos.get(m)).is_some_and(|mp| mp >= start)
+        });
+        self.cand_cursor = hit.map_or(self.cand.len(), |i| from + i);
+        hit.map(|i| self.cand[from + i].1)
+    }
+
+    /// Is `op` frozen for the node being scheduled: dependence- or
+    /// resource-marked this epoch, or suspended?
+    fn frozen(&self, op: OpId) -> bool {
+        is_marked(&self.dep_skip, self.dep_epoch, op)
+            || is_marked(&self.res_skip, self.res_epoch, op)
+            || (!self.suspended.is_empty() && self.suspended.contains(&op))
     }
 
     /// Remove dead pure ops in region rows `start..end`, in region order —
@@ -676,10 +643,7 @@ impl<'g, 'a> Grip<'g, 'a> {
                 continue;
             }
             for &(_, op) in self.g.node_ops(m) {
-                if is_marked(&self.dep_skip, self.dep_epoch, op)
-                    || is_marked(&self.res_skip, self.res_epoch, op)
-                    || (!self.suspended.is_empty() && self.suspended.contains(&op))
-                {
+                if self.frozen(op) {
                     continue;
                 }
                 let o = self.g.op(op);
@@ -1060,36 +1024,32 @@ impl<'g, 'a> Grip<'g, 'a> {
     /// The last edge of some forward path `n -> ... -> cur` (DFS), i.e. the
     /// node to hop `op` into next, with the leaf path reaching `cur`.
     ///
-    /// Results are memoized while the edge structure is unchanged: op hops
-    /// between existing rows leave both the CFG and the region membership
-    /// alone (splits and deletions bump [`Graph::edge_version`], which
-    /// drops the whole cache), so repeated migrations along the same
-    /// corridor pay the DFS once.
+    /// The DFS from `n` visits rows in an order that does not depend on
+    /// `cur`, so one traversal answers every target: each region row
+    /// maps to the first visited row with a leaf to it. The map stays
+    /// valid while the edge structure is unchanged: op hops between
+    /// existing rows leave both the CFG and the region membership alone,
+    /// while splits and deletions bump [`Graph::edge_version`] and force
+    /// a refill.
     fn parent_toward(&mut self, n: NodeId, cur: NodeId) -> Option<(NodeId, TreePath)> {
-        let ev = self.g.edge_version();
-        if self.pt_key != Some((n, ev)) {
-            self.pt_key = Some((n, ev));
-            self.pt_gen += 1;
+        let key = (n, self.g.edge_version());
+        if self.pt_key != Some(key) {
+            self.pt_key = Some(key);
+            self.fill_parent_map(n);
         }
         let i = cur.index();
         if self.pt_stamp.get(i) == Some(&self.pt_gen) {
-            return self.pt_val[i];
+            self.pt_val[i]
+        } else {
+            None
         }
-        let found = self.parent_toward_dfs(n, cur);
-        if i >= self.pt_stamp.len() {
-            self.pt_stamp.resize(i + 1, 0);
-            self.pt_val.resize(i + 1, None);
-        }
-        self.pt_stamp[i] = self.pt_gen;
-        self.pt_val[i] = found;
-        found
     }
 
-    fn parent_toward_dfs(&mut self, n: NodeId, cur: NodeId) -> Option<(NodeId, TreePath)> {
+    fn fill_parent_map(&mut self, n: NodeId) {
+        self.pt_gen += 1;
         if !self.g.node_exists(n) {
-            return None;
+            return;
         }
-        // DFS from n; find any node whose successor set contains cur.
         let epoch = self.pt_seen.begin();
         let mut stack = vec![n];
         while let Some(m) = stack.pop() {
@@ -1097,15 +1057,20 @@ impl<'g, 'a> Grip<'g, 'a> {
                 continue;
             }
             let succs = self.region_successors(m);
-            if succs.contains(&cur) {
-                let paths = self.g.node(m).tree.leaf_paths_to(cur);
-                if let Some(&p) = paths.first() {
-                    return Some((m, p));
+            for &(path, s) in self.g.node_leaves(m) {
+                let Some(s) = s.filter(|s| succs.contains(s)) else { continue };
+                let i = s.index();
+                if i >= self.pt_stamp.len() {
+                    self.pt_stamp.resize(i + 1, 0);
+                    self.pt_val.resize(i + 1, None);
+                }
+                if self.pt_stamp[i] != self.pt_gen {
+                    self.pt_stamp[i] = self.pt_gen;
+                    self.pt_val[i] = Some((m, path));
                 }
             }
             stack.extend(succs);
         }
-        None
     }
 
     fn after_successful_move(&mut self) {
@@ -1273,7 +1238,6 @@ fn record_pass_counters(s: &ScheduleStats) {
     grip_obs::counter!("grip_renames_total").add(s.renames);
     grip_obs::counter!("grip_suspensions_total").add(s.suspensions);
     grip_obs::counter!("grip_dce_removed_total").add(s.dce_removed);
-    grip_obs::counter!("grip_bound_exits_total").add(s.bound_exits);
 }
 
 /// Fold one run's [`PhaseTimes`] into the registry: ns-sum counters per

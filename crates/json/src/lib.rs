@@ -19,6 +19,12 @@
 
 use std::fmt::Write as _;
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap one line of 100,000 `[`
+/// overflows the stack and aborts the process; every document this
+/// workspace writes nests fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON value under construction.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -214,9 +220,10 @@ impl Json {
     }
 
     /// Parse one JSON document from `src` (strict: the whole string must
-    /// be consumed, modulo surrounding whitespace).
+    /// be consumed, modulo surrounding whitespace). Arrays and objects may
+    /// nest at most 128 levels deep.
     pub fn parse(src: &str) -> Result<Json, ParseError> {
-        let mut p = Parser { src: src.as_bytes(), pos: 0 };
+        let mut p = Parser { src: src.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -294,6 +301,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -337,8 +346,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -346,6 +355,18 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing documents
+    /// nested past [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, ParseError>) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -594,6 +615,22 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "1 2", "{'a':1}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let at_cap = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&at_cap).is_ok());
+        let over = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        let e = Json::parse(&over).unwrap_err();
+        assert!(e.msg.contains("nesting"), "{e}");
+        assert_eq!(e.at, MAX_DEPTH, "fails at the first bracket past the cap");
+        // Objects count as levels too.
+        let objs = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objs).unwrap_err().msg.contains("nesting"));
+        // The line that used to overflow the stack is an ordinary error.
+        let e = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(e.msg.contains("nesting"), "{e}");
     }
 
     #[test]

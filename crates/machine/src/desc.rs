@@ -7,6 +7,13 @@ use std::fmt;
 /// Marker for an uncapped slot count or jump budget.
 pub const UNCAPPED: usize = usize::MAX;
 
+/// The longest operation latency a valid machine may declare. Scheduling
+/// cost grows with the latency window (hazard scans, delay-row padding,
+/// backfill corridors): LL1 on an inline machine with a 4096-cycle memory
+/// latency got no answer within 20 s. The ceiling sits at twice the
+/// deepest preset latency (`epic8`'s 16-cycle long FPU ops).
+const MAX_LATENCY: u32 = 32;
+
 /// A target machine, described as an issue template over functional-unit
 /// classes plus an operation-latency table.
 ///
@@ -46,6 +53,8 @@ pub enum MachineError {
     ZeroClassSlots(FuClass),
     /// A latency of zero cycles (results before issue).
     ZeroLatency,
+    /// A latency above the 32-cycle ceiling.
+    LatencyTooHigh(u32),
 }
 
 impl fmt::Display for MachineError {
@@ -54,6 +63,9 @@ impl fmt::Display for MachineError {
             MachineError::ZeroWidth => write!(f, "machine width is zero"),
             MachineError::ZeroClassSlots(c) => write!(f, "class {} has zero slots", c.name()),
             MachineError::ZeroLatency => write!(f, "zero-cycle latency"),
+            MachineError::LatencyTooHigh(l) => {
+                write!(f, "latency of {l} cycles exceeds the ceiling of {MAX_LATENCY}")
+            }
         }
     }
 }
@@ -141,7 +153,8 @@ impl MachineDesc {
         ]
     }
 
-    /// Check the description is a machine programs can actually run on.
+    /// Check the description is a machine programs can actually run on,
+    /// with no latency above 32 cycles.
     pub fn validate(&self) -> Result<(), MachineError> {
         if self.width == 0 {
             return Err(MachineError::ZeroWidth);
@@ -154,6 +167,9 @@ impl MachineDesc {
         let l = &self.latency;
         if l.alu == 0 || l.fpu == 0 || l.fpu_long == 0 || l.mem == 0 || l.branch == 0 {
             return Err(MachineError::ZeroLatency);
+        }
+        if l.max() > MAX_LATENCY {
+            return Err(MachineError::LatencyTooHigh(l.max()));
         }
         Ok(())
     }
@@ -322,6 +338,20 @@ impl fmt::Display for MachineDesc {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_caps_latencies() {
+        for d in MachineDesc::presets() {
+            assert_eq!(d.validate(), Ok(()), "{}", d.name);
+        }
+        let mut d = MachineDesc::epic8();
+        d.latency.mem = MAX_LATENCY;
+        assert_eq!(d.validate(), Ok(()));
+        d.latency.mem = 4096;
+        assert_eq!(d.validate(), Err(MachineError::LatencyTooHigh(4096)));
+        d.latency.mem = 0;
+        assert_eq!(d.validate(), Err(MachineError::ZeroLatency));
+    }
 
     #[test]
     fn fingerprint_is_content_addressed() {

@@ -277,7 +277,6 @@ fn stats_to_json(s: &ScheduleStats) -> Json {
         .field("hazard_delay_rows", s.hazard_delay_rows)
         .field("hazard_backfills", s.hazard_backfills)
         .field("hazard_reclaimed_rows", s.hazard_reclaimed_rows)
-        .field("bound_exits", s.bound_exits)
 }
 
 fn stats_from_json(j: Option<&Json>) -> ScheduleStats {
@@ -301,7 +300,6 @@ fn stats_from_json(j: Option<&Json>) -> ScheduleStats {
         hazard_delay_rows: f("hazard_delay_rows"),
         hazard_backfills: f("hazard_backfills"),
         hazard_reclaimed_rows: f("hazard_reclaimed_rows"),
-        bound_exits: f("bound_exits"),
     }
 }
 

@@ -124,9 +124,8 @@ pub struct ScheduleRequest {
     /// controls delivery of the report object.
     pub want_audit: bool,
     /// Opt in to attaching the `grip-bounds` optimality certificate. The
-    /// engine proves the bound on every cold schedule regardless (and the
-    /// scheduler uses it for early exit); this flag only controls delivery
-    /// of the certificate object.
+    /// engine proves the bound on every cold schedule regardless; this
+    /// flag only controls delivery of the certificate object.
     pub want_bounds: bool,
 }
 

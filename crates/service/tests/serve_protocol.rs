@@ -176,3 +176,57 @@ fn grip_serve_answers_traces_timings_and_metrics() {
     grip_obs::metrics::prometheus_lint(text).expect("prometheus lint");
     assert!(text.contains("grip_requests_total 2"));
 }
+
+/// Hostile single lines against the real binary: 100,000 nested `[` (the
+/// recursive parser used to overflow its stack and abort the process)
+/// and an inline machine with a 4096-cycle memory latency (used to hold
+/// its shard for longer than any client waits). Each gets exactly one
+/// error response, in order, and the valid line after each is served.
+#[test]
+fn grip_serve_refuses_hostile_lines_and_keeps_serving() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_grip-serve"))
+        .args(["--shards", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn grip-serve");
+
+    let mut stdin = child.stdin.take().expect("stdin");
+    let inline = |id: u64, mem: u32| {
+        format!(
+            "{{\"id\":{id},\"kernel\":\"LL1\",\"n\":16,\
+             \"machine\":{{\"width\":4,\"latency\":{{\"mem\":{mem}}}}}}}"
+        )
+    };
+    writeln!(stdin, "{}", "[".repeat(100_000)).expect("write deep line");
+    writeln!(stdin, "{{\"id\":1,\"kernel\":\"LL12\",\"n\":12,\"machine\":\"uniform4\"}}")
+        .expect("write valid request");
+    writeln!(stdin, "{}", inline(2, 4096)).expect("write slow-machine request");
+    writeln!(stdin, "{}", inline(3, 4)).expect("write valid inline request");
+    drop(stdin);
+
+    let out = BufReader::new(child.stdout.take().expect("stdout"));
+    let lines: Vec<Json> = out
+        .lines()
+        .map(|l| {
+            let l = l.expect("read response");
+            Json::parse(l.trim()).unwrap_or_else(|e| panic!("bad line {l:?}: {e}"))
+        })
+        .collect();
+    assert!(child.wait().expect("wait").success(), "grip-serve must survive both lines");
+    assert_eq!(lines.len(), 4, "one answer per line: {lines:?}");
+
+    let ok = |j: &Json| j.get("ok").and_then(Json::as_bool);
+    let error = |j: &Json| j.get("error").and_then(Json::as_str).unwrap_or("").to_string();
+    assert_eq!(ok(&lines[0]), Some(false));
+    assert!(error(&lines[0]).contains("nesting"), "{}", error(&lines[0]));
+    assert_eq!(lines[2].get("id").and_then(Json::as_i64), Some(2));
+    assert_eq!(ok(&lines[2]), Some(false));
+    assert!(error(&lines[2]).contains("latency of 4096 cycles"), "{}", error(&lines[2]));
+    for (line, id) in [(&lines[1], 1), (&lines[3], 3)] {
+        assert_eq!(line.get("id").and_then(Json::as_i64), Some(id));
+        assert_eq!(ok(line), Some(true), "{}", error(line));
+        assert_eq!(line.get("verified").and_then(Json::as_bool), Some(true));
+    }
+}

@@ -339,7 +339,7 @@ const PIN_LL11_UNIFORM: u64 = 6;
 const PIN_LL11_EPIC8: u64 = 24;
 
 /// Not a test: prints region-level bound equality on the heterogeneous
-/// presets (the early-exit criterion). Run with `--ignored --nocapture`.
+/// presets. Run with `--ignored --nocapture`.
 #[test]
 #[ignore]
 fn probe_region_bounds() {
