@@ -12,7 +12,7 @@
 //!   source graph (flow, anti, output) maps to a legal ordering in the
 //!   schedule, across unwound iterations, the loop back edge, and exit
 //!   fix-up chains; register flow dependences are checked wherever their
-//!   producer/consumer instances survive renaming ([`checks::deps`]).
+//!   producer/consumer instances survive renaming (`checks::deps`).
 //! * **GA002 latency shadow** — a countdown dataflow over the scheduled
 //!   rows, derived from [`MachineDesc::latency_of`] alone, proving no row
 //!   reads a register while a producer's latency is still outstanding.

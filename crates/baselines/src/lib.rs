@@ -4,7 +4,7 @@
 //!   (Figure 7): per-node sets of operations that provably migrate all the
 //!   way in, recomputed on every pick. Effective but expensive, and unable
 //!   to prevent the gaps of Figure 9.
-//! * [`post_pipeline`] — POST (§4, [Po91]): pipeline with infinite
+//! * [`post_pipeline`] — POST (§4, \[Po91\]): pipeline with infinite
 //!   resources first, then break over-wide instructions and re-percolate.
 //!   The Table 1 comparison partner.
 

@@ -17,7 +17,7 @@
 //! set), then lets a resource-constrained GRiP pass re-fill the holes.
 
 use grip_analysis::{Ddg, RankTable};
-use grip_core::{schedule_region, GripConfig, Resources};
+use grip_core::{schedule_region, GripConfig};
 use grip_ir::{Graph, NodeId, OpId, RegId, Tree, TreePath};
 use grip_machine::{FuClass, MachineDesc, UNCAPPED};
 use grip_percolate::Ctx;
@@ -32,7 +32,7 @@ pub struct PostOptions {
     /// Unwind factor for the unconstrained phase.
     pub unwind: usize,
     /// The machine applied in the post-pass.
-    pub resources: Resources,
+    pub machine: MachineDesc,
     /// Incremental dead-code removal.
     pub dce: bool,
 }
@@ -40,7 +40,7 @@ pub struct PostOptions {
 impl PostOptions {
     /// The paper's configuration: a flat `fus`-unit machine.
     pub fn vliw(unwind: usize, fus: usize) -> PostOptions {
-        PostOptions { unwind, resources: Resources::vliw(fus), dce: true }
+        PostOptions { unwind, machine: MachineDesc::uniform(fus), dce: true }
     }
 }
 
@@ -52,7 +52,7 @@ pub fn post_pipeline(g: &mut Graph, opts: PostOptions) -> PipelineReport {
         g,
         PipelineOptions {
             unwind: opts.unwind,
-            resources: Resources::UNLIMITED,
+            machine: MachineDesc::UNLIMITED,
             fold_inductions: false,
             gap_prevention: true,
             dce: opts.dce,
@@ -67,12 +67,12 @@ pub fn post_pipeline(g: &mut Graph, opts: PostOptions) -> PipelineReport {
     let ddg = Ddg::build(g, g.entry);
     let mut ctx = Ctx::new(g, &ddg);
     let ranks = RankTable::new(&ddg, true);
-    break_rows(g, &ranks, &mut region, opts.resources.desc());
+    break_rows(g, &ranks, &mut region, &opts.machine);
     ctx.refresh(g);
 
     // Phase 2b: constrained re-percolation fills the holes.
     let cfg = GripConfig {
-        resources: opts.resources,
+        machine: opts.machine,
         gap_prevention: true,
         dce: opts.dce,
         speculation: Default::default(),
@@ -85,7 +85,7 @@ pub fn post_pipeline(g: &mut Graph, opts: PostOptions) -> PipelineReport {
     // The shared certify step: the phase-2 DDG was rebuilt on the broken
     // rows, so re-percolated duplicates may miss some memory pairs — the
     // prover simply proves a (still sound) weaker bound there.
-    let (bounds, cpi_estimate) = certify_window(g, &window, &steady, &ddg, opts.resources.desc());
+    let (bounds, cpi_estimate) = certify_window(g, &window, &steady, &ddg, &opts.machine);
     // Both scheduling passes (phase 1 compaction, phase 2b re-percolation)
     // contribute to the pick-loop profile.
     let mut phases = p1.phases;

@@ -12,8 +12,8 @@
 //! path for every candidate on every pick.
 
 use grip_analysis::RankTable;
-use grip_core::Resources;
 use grip_ir::{Graph, NodeId, OpId, OpKind, Operand, TreePath};
+use grip_machine::MachineDesc;
 use grip_percolate::{move_cj, move_op, plan_move_cj, plan_move_op, Ctx};
 use std::collections::{HashMap, HashSet};
 
@@ -39,7 +39,7 @@ pub struct UnifiableSched<'g, 'a> {
     g: &'g mut Graph,
     ctx: &'g mut Ctx<'a>,
     ranks: &'g RankTable,
-    resources: Resources,
+    machine: MachineDesc,
     region: Vec<NodeId>,
     pos: HashMap<NodeId, usize>,
     stats: UnifiableStats,
@@ -51,11 +51,11 @@ impl<'g, 'a> UnifiableSched<'g, 'a> {
         g: &'g mut Graph,
         ctx: &'g mut Ctx<'a>,
         ranks: &'g RankTable,
-        resources: Resources,
+        machine: MachineDesc,
         region: Vec<NodeId>,
     ) -> Self {
         let pos = region.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        UnifiableSched { g, ctx, ranks, resources, region, pos, stats: UnifiableStats::default() }
+        UnifiableSched { g, ctx, ranks, machine, region, pos, stats: UnifiableStats::default() }
     }
 
     /// Run the Figure 7 loop over every region node, top-down.
@@ -95,7 +95,7 @@ impl<'g, 'a> UnifiableSched<'g, 'a> {
     fn schedule_node(&mut self, n: NodeId) {
         let mut rejected: HashSet<OpId> = HashSet::new();
         loop {
-            if self.resources.exhausted(self.g, n) {
+            if self.machine.exhausted(self.g, n) {
                 break;
             }
             self.stats.picks += 1;
@@ -197,7 +197,7 @@ impl<'g, 'a> UnifiableSched<'g, 'a> {
                 return false;
             }
             // Resource space at the landing node.
-            if !self.resources.has_room(self.g, parent, op) {
+            if !self.machine.has_room(self.g, parent, op) {
                 return false;
             }
             // Dependences against ops committing on the landing path,
@@ -267,11 +267,7 @@ impl<'g, 'a> UnifiableSched<'g, 'a> {
                 match plan_move_op(self.g, self.ctx, cur, parent, op, leaf, None) {
                     Ok(plan) => {
                         let fits = !plan.needs_rename
-                            || self.resources.desc().copy_swap_fits(
-                                self.g,
-                                cur,
-                                self.g.op(op).kind,
-                            );
+                            || self.machine.copy_swap_fits(self.g, cur, self.g.op(op).kind);
                         fits && move_op(self.g, self.ctx, cur, parent, op, leaf).is_ok()
                     }
                     Err(_) => false,
@@ -319,8 +315,8 @@ pub fn schedule_unifiable(
     g: &mut Graph,
     ctx: &mut Ctx<'_>,
     ranks: &RankTable,
-    resources: Resources,
+    machine: MachineDesc,
     region: Vec<NodeId>,
 ) -> (UnifiableStats, Vec<NodeId>) {
-    UnifiableSched::new(g, ctx, ranks, resources, region).run()
+    UnifiableSched::new(g, ctx, ranks, machine, region).run()
 }

@@ -4,9 +4,10 @@
 
 use grip_analysis::{Ddg, RankTable};
 use grip_baselines::{post_pipeline, schedule_unifiable, PostOptions};
-use grip_core::{schedule_region, GripConfig, Resources};
+use grip_core::{schedule_region, GripConfig};
 use grip_ir::{Graph, OpKind, Operand, ProgramBuilder};
 use grip_kernels::{default_init, kernels};
+use grip_machine::MachineDesc;
 use grip_percolate::Ctx;
 use grip_pipeline::{perfect_pipeline, PipelineOptions};
 use grip_vm::{EquivReport, Machine};
@@ -37,7 +38,8 @@ fn unifiable_preserves_semantics_and_respects_width() {
         let mut ctx = Ctx::new(&g, &ddg);
         let ranks = RankTable::new(&ddg, false);
         let region = g.reachable();
-        let (stats, _) = schedule_unifiable(&mut g, &mut ctx, &ranks, Resources::vliw(fus), region);
+        let (stats, _) =
+            schedule_unifiable(&mut g, &mut ctx, &ranks, MachineDesc::uniform(fus), region);
         g.validate().unwrap();
         assert!(stats.arrivals > 0);
         assert!(stats.membership_tests >= stats.arrivals);
@@ -62,7 +64,8 @@ fn unifiable_membership_walks_dominate_grip_bookkeeping() {
     let mut ctx = Ctx::new(&gu, &ddg);
     let ranks = RankTable::new(&ddg, false);
     let region = gu.reachable();
-    let (ustats, _) = schedule_unifiable(&mut gu, &mut ctx, &ranks, Resources::vliw(4), region);
+    let (ustats, _) =
+        schedule_unifiable(&mut gu, &mut ctx, &ranks, MachineDesc::uniform(4), region);
 
     let mut gg = g0.clone();
     let ddg2 = Ddg::build(&gg, gg.entry);
@@ -74,7 +77,7 @@ fn unifiable_membership_walks_dominate_grip_bookkeeping() {
         &mut ctx2,
         &ranks2,
         GripConfig {
-            resources: Resources::vliw(4),
+            machine: MachineDesc::uniform(4),
             gap_prevention: false,
             dce: false,
             speculation: Default::default(),
@@ -105,7 +108,7 @@ fn post_is_exact_and_never_beats_grip() {
                 &mut g_grip,
                 PipelineOptions {
                     unwind: 2 * fus.min(8),
-                    resources: Resources::vliw(fus),
+                    machine: MachineDesc::uniform(fus),
                     fold_inductions: true,
                     gap_prevention: true,
                     dce: true,
@@ -198,7 +201,6 @@ fn mixed_class_program(seed: u64) -> Graph {
 #[test]
 fn unifiable_refuses_renames_that_overflow_the_alu_cap() {
     use grip_ir::{Operation, Tree, TreePath, Value};
-    use grip_machine::MachineDesc;
 
     let mut g = Graph::new();
     let (q, x, y) = (g.named_reg("q"), g.named_reg("x"), g.named_reg("y"));
@@ -244,7 +246,7 @@ fn unifiable_refuses_renames_that_overflow_the_alu_cap() {
     let mut ctx = Ctx::new(&g, &ddg);
     let ranks = RankTable::new(&ddg, false);
     let region = g.reachable();
-    schedule_unifiable(&mut g, &mut ctx, &ranks, Resources::machine(desc), region);
+    schedule_unifiable(&mut g, &mut ctx, &ranks, desc, region);
     g.validate().unwrap();
     for n in g.reachable() {
         assert!(desc.fits(&g, n), "row {n} violates the issue template after scheduling");
@@ -257,7 +259,6 @@ fn unifiable_refuses_renames_that_overflow_the_alu_cap() {
 /// re-check (ported from GRiP's `hop`) those copies overflow the ALU cap.
 #[test]
 fn unifiable_respects_issue_templates_on_class_capped_machines() {
-    use grip_machine::MachineDesc;
     for seed in 0..8u64 {
         let g0 = mixed_class_program(seed);
         g0.validate().unwrap();
@@ -267,8 +268,7 @@ fn unifiable_respects_issue_templates_on_class_capped_machines() {
             let mut ctx = Ctx::new(&g, &ddg);
             let ranks = RankTable::new(&ddg, false);
             let region = g.reachable();
-            let resources = Resources::machine(desc);
-            let (_, _) = schedule_unifiable(&mut g, &mut ctx, &ranks, resources, region);
+            let (_, _) = schedule_unifiable(&mut g, &mut ctx, &ranks, desc, region);
             g.validate().unwrap_or_else(|e| panic!("seed {seed} on {}: {e}", desc.name));
 
             // Static template check over every surviving row.

@@ -7,9 +7,10 @@ mod harness;
 
 use grip_analysis::{Ddg, RankTable};
 use grip_baselines::schedule_unifiable;
-use grip_core::{schedule_region, GripConfig, Resources};
+use grip_core::{schedule_region, GripConfig};
 use grip_ir::Graph;
 use grip_kernels::kernels;
+use grip_machine::MachineDesc;
 use grip_percolate::Ctx;
 use grip_pipeline::{simplify_inductions, unwind};
 
@@ -37,7 +38,7 @@ fn main() {
                     &mut ctx,
                     &ranks,
                     GripConfig {
-                        resources: Resources::vliw(4),
+                        machine: MachineDesc::uniform(4),
                         gap_prevention: true,
                         dce: true,
                         speculation: Default::default(),
@@ -55,7 +56,8 @@ fn main() {
                 let ddg = Ddg::build(&g, g.entry);
                 let mut ctx = Ctx::new(&g, &ddg);
                 let ranks = RankTable::new(&ddg, true);
-                let out = schedule_unifiable(&mut g, &mut ctx, &ranks, Resources::vliw(4), rows);
+                let out =
+                    schedule_unifiable(&mut g, &mut ctx, &ranks, MachineDesc::uniform(4), rows);
                 (out.0.hops, g)
             },
         );

@@ -10,7 +10,7 @@
 #![forbid(unsafe_code)]
 
 use grip_bench::examples::abc_loop;
-use grip_core::Resources;
+use grip_machine::MachineDesc;
 use grip_pipeline::{perfect_pipeline, PipelineOptions};
 use grip_vm::{EquivReport, Machine};
 
@@ -23,7 +23,7 @@ fn main() {
         &mut g,
         PipelineOptions {
             unwind: 4,
-            resources: Resources::UNLIMITED,
+            machine: MachineDesc::UNLIMITED,
             fold_inductions: false,
             gap_prevention: true,
             dce: true,
@@ -53,7 +53,7 @@ fn main() {
         &mut g2,
         PipelineOptions {
             unwind: 6,
-            resources: Resources::UNLIMITED,
+            machine: MachineDesc::UNLIMITED,
             fold_inductions: false,
             gap_prevention: true,
             dce: true,

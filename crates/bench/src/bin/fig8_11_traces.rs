@@ -10,8 +10,9 @@
 #![forbid(unsafe_code)]
 
 use grip_analysis::{Ddg, RankTable};
-use grip_core::{schedule_region, GripConfig, Resources, TraceEvent};
+use grip_core::{schedule_region, GripConfig, TraceEvent};
 use grip_ir::{Graph, NodeId, OpId, OpKind, Operand, ProgramBuilder, Value};
+use grip_machine::MachineDesc;
 use grip_percolate::Ctx;
 
 /// The straight-line a..g example: chain a->b->c, d->e, f->g.
@@ -108,7 +109,7 @@ fn main() {
         &mut ctx,
         &ranks,
         GripConfig {
-            resources: Resources::vliw(3),
+            machine: MachineDesc::uniform(3),
             gap_prevention: false,
             dce: false,
             speculation: Default::default(),

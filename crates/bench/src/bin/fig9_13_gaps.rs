@@ -5,7 +5,7 @@
 #![forbid(unsafe_code)]
 
 use grip_bench::examples::running_example;
-use grip_core::Resources;
+use grip_machine::MachineDesc;
 use grip_pipeline::{perfect_pipeline, PipelineOptions};
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
         &mut g,
         PipelineOptions {
             unwind: iters,
-            resources: Resources::UNLIMITED,
+            machine: MachineDesc::UNLIMITED,
             fold_inductions: true, // independent streams race ahead
             gap_prevention: false,
             dce: true,
@@ -53,7 +53,7 @@ fn main() {
         &mut g2,
         PipelineOptions {
             unwind: iters,
-            resources: Resources::UNLIMITED,
+            machine: MachineDesc::UNLIMITED,
             fold_inductions: false,
             gap_prevention: true,
             dce: true,

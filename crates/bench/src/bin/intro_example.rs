@@ -9,7 +9,7 @@
 
 use grip_baselines::{post_pipeline, PostOptions};
 use grip_bench::examples::intro_five_op_loop;
-use grip_core::Resources;
+use grip_machine::MachineDesc;
 use grip_pipeline::{perfect_pipeline, PipelineOptions};
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
         &mut g_grip,
         PipelineOptions {
             unwind: 12,
-            resources: Resources::vliw(fus),
+            machine: MachineDesc::uniform(fus),
             fold_inductions: true,
             gap_prevention: true,
             dce: true,

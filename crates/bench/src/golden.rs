@@ -19,9 +19,9 @@
 
 use crate::json::Json;
 use crate::unwind_for;
-use grip_core::{MachineDesc, Resources};
 use grip_ir::{Fnv, Graph, NodeId};
 use grip_kernels::Kernel;
+use grip_machine::MachineDesc;
 use grip_pipeline::{perfect_pipeline, PipelineOptions};
 use grip_vm::Machine;
 
@@ -79,7 +79,7 @@ pub fn golden_cell(k: &Kernel, n: i64, desc: MachineDesc) -> GoldenCell {
         &mut g,
         PipelineOptions {
             unwind,
-            resources: Resources::machine(desc),
+            machine: desc,
             fold_inductions: true,
             gap_prevention: true,
             dce: true,

@@ -10,7 +10,7 @@
 //! * criterion benches (`sched_cost`, `table1`, `simulator`) — the §1/§3.1
 //!   computational-efficiency claims and raw substrate throughput.
 //!
-//! * `machines` binary — the preset sweep: every [`grip_core::MachineDesc`]
+//! * `machines` binary — the preset sweep: every [`grip_machine::MachineDesc`]
 //!   preset over LL1–LL14, with latency-aware simulation
 //!   (`BENCH_machines.json`).
 //!
@@ -29,10 +29,10 @@ pub mod machines;
 pub use grip_json as json;
 
 use grip_baselines::{post_pipeline, PostOptions};
-use grip_core::Resources;
 use grip_ir::Graph;
 use grip_json::Json;
 use grip_kernels::Kernel;
+use grip_machine::MachineDesc;
 use grip_pipeline::{perfect_pipeline, PipelineOptions, PipelineReport};
 use grip_vm::{EquivReport, Machine};
 
@@ -107,7 +107,7 @@ pub fn run_grip(k: &Kernel, n: i64, fus: usize) -> (Graph, PipelineReport) {
         &mut g,
         PipelineOptions {
             unwind: unwind_for(fus),
-            resources: Resources::vliw(fus),
+            machine: MachineDesc::uniform(fus),
             fold_inductions: true,
             gap_prevention: true,
             dce: true,

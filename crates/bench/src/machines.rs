@@ -10,8 +10,9 @@
 
 use crate::json::Json;
 use crate::unwind_for;
-use grip_core::{MachineDesc, PhaseTimes, Resources};
+use grip_core::PhaseTimes;
 use grip_kernels::Kernel;
+use grip_machine::MachineDesc;
 use grip_pipeline::{perfect_pipeline, PipelineOptions};
 use grip_vm::{EquivReport, Machine};
 
@@ -135,7 +136,7 @@ pub fn measure_machine(k: &Kernel, n: i64, desc: MachineDesc) -> MachineCell {
             &mut g,
             PipelineOptions {
                 unwind,
-                resources: Resources::machine(desc),
+                machine: desc,
                 fold_inductions: true,
                 gap_prevention: true,
                 dce: true,

@@ -12,9 +12,9 @@
 //! `Gapless-move` test and the three suspension rules, which is what makes
 //! Perfect Pipelining converge.
 
-use crate::resources::Resources;
 use grip_analysis::RankTable;
 use grip_ir::{Graph, NodeId, OpId, TreePath};
+use grip_machine::MachineDesc;
 use grip_percolate::{
     apply_move_cj, apply_move_op, plan_move_cj, plan_move_op, propagate_copies, remove_if_dead,
     try_delete_empty, Ctx, MoveFail,
@@ -59,8 +59,8 @@ impl Speculation {
 /// Scheduler configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct GripConfig {
-    /// Machine resources.
-    pub resources: Resources,
+    /// The machine the schedule must fit.
+    pub machine: MachineDesc,
     /// Enable the §3.3 gap prediction and prevention facility.
     pub gap_prevention: bool,
     /// Remove dead operations incrementally while scheduling (§4).
@@ -74,7 +74,7 @@ pub struct GripConfig {
 impl Default for GripConfig {
     fn default() -> Self {
         GripConfig {
-            resources: Resources::UNLIMITED,
+            machine: MachineDesc::UNLIMITED,
             gap_prevention: true,
             dce: true,
             speculation: Speculation::Always,
@@ -157,12 +157,12 @@ pub enum TraceEvent {
 /// counters included), while timings vary run to run. Phases:
 ///
 /// * `cand_refresh` — building, sorting, and scanning the priority
-///   candidate list in [`Grip::pick_candidate`];
-/// * `legality` — the per-hop probe chain in [`Grip::migrate`]:
+///   candidate list in `Grip::pick_candidate`;
+/// * `legality` — the per-hop probe chain in `Grip::migrate`:
 ///   parent search, suspension rules, resource/template room, latency
 ///   guard, gapless-move test, and the `plan_move_*` dry runs;
 /// * `commit` — applying planned moves (`apply_move_*`, region splices,
-///   empty-row deletes) inside [`Grip::hop`];
+///   empty-row deletes) inside `Grip::hop`;
 /// * `dead_sweep` — incremental dead-op sweeping and the DCE / empty-row
 ///   passes between nodes.
 ///
@@ -400,7 +400,7 @@ impl<'g, 'a> Grip<'g, 'a> {
     /// chain conservatively. Nodes above the region are never edited by
     /// the scheduler, so the chain is computed once.
     fn prefix_chain(g: &Graph, region: &[NodeId], pos: &PosMap, cfg: &GripConfig) -> Vec<NodeId> {
-        let depth = (cfg.resources.desc().max_latency() as usize).saturating_sub(1);
+        let depth = (cfg.machine.max_latency() as usize).saturating_sub(1);
         let Some(&top) = region.first() else { return Vec::new() };
         if depth == 0 {
             return Vec::new();
@@ -453,7 +453,7 @@ impl<'g, 'a> Grip<'g, 'a> {
         // Hazard-resolution post-pass: upgrade the best-effort latency
         // guard to a hard invariant — after this, the schedule is
         // stall-free on its target machine (no-op under unit latencies).
-        let desc = *self.cfg.resources.desc();
+        let desc = self.cfg.machine;
         if desc.max_latency() > 1 {
             let hz = crate::hazards::resolve_hazards(self.g, self.ctx, &desc, &mut self.region);
             self.stats.hazard_delay_rows = hz.delay_rows;
@@ -479,7 +479,7 @@ impl<'g, 'a> Grip<'g, 'a> {
         self.dep_epoch += 1;
         self.res_epoch += 1;
         loop {
-            if self.cfg.resources.exhausted(self.g, n) {
+            if self.cfg.machine.exhausted(self.g, n) {
                 break;
             }
             self.stats.picks += 1;
@@ -729,7 +729,7 @@ impl<'g, 'a> Grip<'g, 'a> {
                     }
                 }
             }
-            if !self.cfg.resources.has_room(self.g, parent, op) {
+            if !self.cfg.machine.has_room(self.g, parent, op) {
                 self.stats.resource_blocks += 1;
                 return if progressed {
                     Migrated::Partial
@@ -829,7 +829,7 @@ impl<'g, 'a> Grip<'g, 'a> {
             // Speculation policy (§1): a speculative hop may be vetoed when
             // slots are scarce.
             if plan.speculative {
-                let free = self.cfg.resources.free_slots(self.g, parent);
+                let free = self.cfg.machine.free_slots(self.g, parent);
                 if !self.cfg.speculation.allows(free) {
                     self.stats.speculation_vetoes += 1;
                     return Err(MoveFail::SpeculativeStore);
@@ -858,7 +858,7 @@ impl<'g, 'a> Grip<'g, 'a> {
     /// Would `cur` still fit its issue template after `op` is replaced by
     /// a compensation copy? (Copies issue on the ALU class.)
     fn rename_copy_fits(&self, cur: NodeId, op: OpId) -> bool {
-        self.cfg.resources.desc().copy_swap_fits(self.g, cur, self.g.op(op).kind)
+        self.cfg.machine.copy_swap_fits(self.g, cur, self.g.op(op).kind)
     }
 
     /// Would landing `op` in `row` place it closer to a multi-cycle
@@ -877,7 +877,7 @@ impl<'g, 'a> Grip<'g, 'a> {
     /// (back-edge distances are out of scope); the hazard-resolution
     /// post-pass upgrades the residue to a hard stall-free invariant.
     fn latency_blocked(&self, row: NodeId, op: OpId) -> bool {
-        let desc = self.cfg.resources.desc();
+        let desc = &self.cfg.machine;
         let lmax = desc.max_latency() as usize;
         if lmax <= 1 {
             return false;
@@ -1109,7 +1109,7 @@ impl<'g, 'a> Grip<'g, 'a> {
     /// (Row deletion used to undo distances the latency guard had already
     /// approved — the re-shrink bug; refused deletions are counted.)
     fn deletion_is_hazard_safe(&mut self, n: NodeId) -> bool {
-        let desc = self.cfg.resources.desc();
+        let desc = &self.cfg.machine;
         if desc.max_latency() <= 1 {
             return true;
         }

@@ -32,12 +32,9 @@
 
 mod grip;
 pub mod hazards;
-mod resources;
 
 pub use grip::{
     schedule_region, Grip, GripConfig, PhaseTimes, ScheduleOutput, ScheduleStats, Speculation,
     TraceEvent,
 };
-pub use grip_machine::{FuClass, LatencyTable, MachineDesc, MachineError, MachineModel, UNCAPPED};
 pub use hazards::HazardStats;
-pub use resources::Resources;

@@ -2,8 +2,9 @@
 //! semantic preservation, and gap prevention on hand-tagged iterations.
 
 use grip_analysis::{Ddg, RankTable};
-use grip_core::{schedule_region, GripConfig, Resources};
+use grip_core::{schedule_region, GripConfig};
 use grip_ir::{Graph, NodeId, OpKind, Operand, ProgramBuilder, Value};
+use grip_machine::MachineDesc;
 use grip_percolate::Ctx;
 use grip_vm::{EquivReport, Machine};
 
@@ -39,7 +40,7 @@ fn schedule(g: &mut Graph, fus: usize, gaps: bool) -> Vec<NodeId> {
     let mut ctx = Ctx::new(g, &ddg);
     let ranks = RankTable::new(&ddg, true);
     let cfg = GripConfig {
-        resources: Resources::vliw(fus),
+        machine: MachineDesc::uniform(fus),
         gap_prevention: gaps,
         dce: true,
         speculation: Default::default(),
@@ -150,7 +151,7 @@ fn scheduler_preserves_loop_semantics() {
     let mut ctx = Ctx::new(&g, &ddg);
     let ranks = RankTable::new(&ddg, true);
     let cfg = GripConfig {
-        resources: Resources::vliw(4),
+        machine: MachineDesc::uniform(4),
         gap_prevention: true,
         dce: true,
         speculation: Default::default(),
@@ -250,7 +251,7 @@ fn gap_prevention_keeps_iterations_contiguous() {
         let mut ctx = Ctx::new(&g, &ddg);
         let ranks = RankTable::new(&ddg, true);
         let cfg = GripConfig {
-            resources: Resources::vliw(2),
+            machine: MachineDesc::uniform(2),
             gap_prevention: gaps,
             dce: false,
             speculation: Default::default(),
@@ -289,7 +290,7 @@ fn trace_records_moves() {
     let mut ctx = Ctx::new(&g, &ddg);
     let ranks = RankTable::new(&ddg, true);
     let cfg = GripConfig {
-        resources: Resources::vliw(4),
+        machine: MachineDesc::uniform(4),
         gap_prevention: false,
         dce: false,
         speculation: Default::default(),
@@ -330,7 +331,7 @@ fn speculation_policy_gates_motion_past_branches() {
         let mut ctx = Ctx::new(&g, &ddg);
         let ranks = RankTable::new(&ddg, true);
         let cfg = GripConfig {
-            resources: Resources::vliw(4),
+            machine: MachineDesc::uniform(4),
             gap_prevention: false,
             dce: true,
             speculation: policy,
@@ -374,7 +375,7 @@ fn resource_aware_speculation_interpolates() {
         let mut ctx = Ctx::new(&g, &ddg);
         let ranks = RankTable::new(&ddg, true);
         let cfg = GripConfig {
-            resources: Resources::vliw(4),
+            machine: MachineDesc::uniform(4),
             gap_prevention: false,
             dce: false,
             speculation: policy,

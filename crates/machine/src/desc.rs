@@ -35,9 +35,10 @@ pub struct MachineDesc {
     pub width: usize,
     /// Conditional jumps per instruction tree.
     pub cjs: usize,
-    /// Per-class slot caps, indexed by [`FuClass::index`]. The
-    /// [`FuClass::Branch`] entry mirrors `cjs` (branches never compete
-    /// with ordinary slots).
+    /// Per-class slot caps, indexed by [`FuClass::index`]. Only the
+    /// ordinary classes constrain issue: the jump budget is
+    /// [`cjs`](MachineDesc::cjs), and the [`FuClass::Branch`] entry
+    /// changes nothing but the [`fingerprint`](MachineDesc::fingerprint).
     pub class_slots: [usize; FuClass::COUNT],
     /// Issue-to-result latencies.
     pub latency: LatencyTable,
@@ -83,8 +84,8 @@ impl MachineDesc {
     };
 
     /// The paper's machine: `n` interchangeable single-cycle functional
-    /// units, unbounded branch tree. Bit-for-bit equivalent to the seed
-    /// flat `Resources { fus: n, cjs: MAX }` model.
+    /// units, unbounded branch tree: every occupancy check is the paper's
+    /// flat `count < n` comparison.
     pub const fn uniform(n: usize) -> MachineDesc {
         MachineDesc {
             name: "uniform",
@@ -153,8 +154,9 @@ impl MachineDesc {
         ]
     }
 
-    /// Check the description is a machine programs can actually run on,
-    /// with no latency above 32 cycles.
+    /// Check the description is a machine programs can actually run on:
+    /// some issue slot for every class (a zero jump budget counts as a
+    /// zero-slot [`FuClass::Branch`]), and no latency above 32 cycles.
     pub fn validate(&self) -> Result<(), MachineError> {
         if self.width == 0 {
             return Err(MachineError::ZeroWidth);
@@ -163,6 +165,9 @@ impl MachineDesc {
             if self.class_slots[c.index()] == 0 {
                 return Err(MachineError::ZeroClassSlots(c));
             }
+        }
+        if self.cjs == 0 {
+            return Err(MachineError::ZeroClassSlots(FuClass::Branch));
         }
         let l = &self.latency;
         if l.alu == 0 || l.fpu == 0 || l.fpu_long == 0 || l.mem == 0 || l.branch == 0 {

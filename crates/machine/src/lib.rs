@@ -14,10 +14,8 @@
 //!   bit-for-bit), [`scalar`](MachineDesc::scalar),
 //!   [`clustered`](MachineDesc::clustered),
 //!   [`mem_bound`](MachineDesc::mem_bound), and
-//!   [`epic8`](MachineDesc::epic8);
-//! * [`MachineModel`] — the trait schedulers program against; adapter
-//!   types (e.g. `grip_core::Resources`) wrap a description and inherit
-//!   class- and latency-aware `has_room` / `ops_full` / `exhausted`.
+//!   [`epic8`](MachineDesc::epic8). Schedulers ask it directly whether an
+//!   instruction has room (`has_room` / `ops_full` / `exhausted`).
 //!
 //! Every cap uses [`UNCAPPED`] (`usize::MAX`) as an "unlimited" sentinel,
 //! and all occupancy checks compare counts against the cap — never
@@ -28,11 +26,9 @@
 
 mod class;
 mod desc;
-mod model;
 
 pub use class::{FuClass, LatencyTable};
 pub use desc::{MachineDesc, MachineError, UNCAPPED};
-pub use model::MachineModel;
 
 #[cfg(test)]
 mod tests {
@@ -70,6 +66,59 @@ mod tests {
         }
         assert_eq!(MachineDesc::scalar().width, 1);
         assert!(MachineDesc::scalar().ops_full(&g, n));
+    }
+
+    #[test]
+    fn room_accounting() {
+        let mut g = Graph::new();
+        let r = g.fresh_reg();
+        let c = g.fresh_reg();
+        let o1 = g.add_op(Operation::new(OpKind::Copy, Some(r), vec![Operand::Imm(Value::I(1))]));
+        let n = g.add_node(Tree::Leaf { ops: vec![o1], succ: None });
+        let d2 = g.fresh_reg();
+        let o2 = g.add_op(Operation::new(
+            OpKind::IAdd,
+            Some(d2),
+            vec![Operand::Reg(r), Operand::Imm(Value::I(1))],
+        ));
+        let cj = g.add_op(Operation::new(OpKind::CondJump, None, vec![Operand::Reg(c)]));
+
+        let two = MachineDesc::uniform(2);
+        assert!(two.has_room(&g, n, o2));
+        assert!(!MachineDesc::uniform(1).has_room(&g, n, o2));
+        assert!(two.has_room(&g, n, cj), "jump budget independent of FU slots");
+        assert!(!MachineDesc { cjs: 0, ..two }.has_room(&g, n, cj));
+        assert!(MachineDesc::UNLIMITED.has_room(&g, n, o2));
+        assert!(MachineDesc::uniform(1).ops_full(&g, n));
+        assert!(!two.exhausted(&g, n));
+    }
+
+    #[test]
+    fn unlimited_sentinels_are_overflow_free() {
+        // A node with ops and cjs present; every check against the MAX
+        // sentinel must neither overflow nor report saturation.
+        let mut g = Graph::new();
+        let c = g.fresh_reg();
+        let r = g.fresh_reg();
+        let op = g.add_op(Operation::new(OpKind::Copy, Some(r), vec![Operand::Imm(Value::I(1))]));
+        let cj = g.add_op(Operation::new(OpKind::CondJump, None, vec![Operand::Reg(c)]));
+        let n = g.add_node(Tree::Branch {
+            ops: vec![op],
+            cj,
+            on_true: Box::new(Tree::leaf(None)),
+            on_false: Box::new(Tree::leaf(None)),
+        });
+        let u = MachineDesc::UNLIMITED;
+        assert!(!u.ops_full(&g, n));
+        assert!(!u.exhausted(&g, n));
+        assert_eq!(u.free_slots(&g, n), UNCAPPED - 1);
+        // cjs == MAX with a populated tree: comparison, not subtraction.
+        let v = MachineDesc::uniform(1);
+        assert!(v.ops_full(&g, n), "width 1 is taken");
+        assert!(!v.exhausted(&g, n), "cj budget MAX can never exhaust");
+        assert!(v.has_room(&g, n, cj));
+        // Bounded-cj machine saturates both sides.
+        assert!(MachineDesc { cjs: 1, ..v }.exhausted(&g, n));
     }
 
     #[test]
@@ -153,16 +202,10 @@ mod tests {
         m.class_slots[FuClass::Mem.index()] = 0;
         assert_eq!(m.validate(), Err(MachineError::ZeroClassSlots(FuClass::Mem)));
         m = MachineDesc::uniform(4);
+        m.cjs = 0;
+        assert_eq!(m.validate(), Err(MachineError::ZeroClassSlots(FuClass::Branch)));
+        m = MachineDesc::uniform(4);
         m.latency.mem = 0;
         assert_eq!(m.validate(), Err(MachineError::ZeroLatency));
-    }
-
-    #[test]
-    fn model_trait_provides_behaviour_from_desc() {
-        let m = MachineDesc::epic8();
-        let dyn_model: &dyn MachineModel = &m;
-        assert_eq!(dyn_model.latency_of(OpKind::Add), 4);
-        assert_eq!(dyn_model.max_latency(), 16);
-        assert_eq!(dyn_model.desc().name, "epic8");
     }
 }

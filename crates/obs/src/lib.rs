@@ -4,7 +4,7 @@
 //! as `grip-json`). It provides the three layers the rest of the
 //! workspace instruments itself with:
 //!
-//! * **Spans** ([`span`] / the [`span!`] macro): hierarchical scopes
+//! * **Spans** ([`mod@span`] / the [`span!`] macro): hierarchical scopes
 //!   timed with the monotonic clock on a thread-local stack. A guard
 //!   records its *self time* (elapsed minus time spent in child spans)
 //!   on drop, so a set of nested stage spans always decomposes a wall

@@ -8,7 +8,7 @@ use crate::unwind::{unwind, Window};
 use grip_analysis::{Ddg, RankTable};
 use grip_audit::AuditReport;
 use grip_bounds::BoundCertificate;
-use grip_core::{schedule_region, GripConfig, PhaseTimes, Resources, ScheduleStats};
+use grip_core::{schedule_region, GripConfig, PhaseTimes, ScheduleStats};
 use grip_ir::{Graph, NodeId};
 use grip_machine::{FuClass, MachineDesc, UNCAPPED};
 use grip_percolate::Ctx;
@@ -18,8 +18,8 @@ use grip_percolate::Ctx;
 pub struct PipelineOptions {
     /// Unwind factor (how many iterations enter the window).
     pub unwind: usize,
-    /// Machine resources.
-    pub resources: Resources,
+    /// The machine to schedule for.
+    pub machine: MachineDesc,
     /// Fold unwound induction chains (`k.1 = k.0+1` → `k.1 = k+2`) and
     /// address constants. Required for cross-iteration induction
     /// parallelism (Table 1 configuration); makes the pattern non-periodic
@@ -42,7 +42,7 @@ impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
             unwind: 8,
-            resources: Resources::vliw(4),
+            machine: MachineDesc::uniform(4),
             fold_inductions: true,
             gap_prevention: true,
             dce: true,
@@ -141,7 +141,7 @@ pub fn perfect_pipeline(g: &mut Graph, opts: PipelineOptions) -> PipelineReport 
 }
 
 /// Stage 2 of [`perfect_pipeline`]: GRiP-schedule a prepared window under
-/// `opts.resources`, detect the steady pattern, and optionally re-roll.
+/// `opts.machine`, detect the steady pattern, and optionally re-roll.
 /// `g` must be the (possibly cloned) graph the window was prepared on;
 /// `opts.unwind`/`opts.fold_inductions` are ignored here — they were
 /// consumed by [`prepare`].
@@ -163,13 +163,13 @@ pub fn schedule_window(
     // post-pass to pad the gap afterwards. Unit-latency machines (every
     // `uniform` preset) get the paper's hop-count ranks bit-for-bit.
     let ranks = {
-        let desc = opts.resources.desc();
+        let desc = &opts.machine;
         let group = if desc.max_latency() > 1 { 2 } else { 1 };
         let gr: &Graph = g;
         RankTable::with_weights_grouped(ddg, true, group, |op| desc.latency_of(gr.op(op).kind))
     };
     let cfg = GripConfig {
-        resources: opts.resources,
+        machine: opts.machine,
         gap_prevention: opts.gap_prevention,
         dce: opts.dce,
         speculation: Default::default(),
@@ -179,7 +179,7 @@ pub fn schedule_window(
     let region = out.region.clone();
     let steady = steady_rows(g, &region, window.head);
     let pattern = detect(g, &window, &steady);
-    let (bounds, cpi_estimate) = certify_window(g, &window, &steady, ddg, opts.resources.desc());
+    let (bounds, cpi_estimate) = certify_window(g, &window, &steady, ddg, &opts.machine);
     let rolled = match (opts.try_roll, pattern) {
         (true, Some(pat)) => {
             // The earliest pattern occurrence may still read fill-defined
@@ -190,7 +190,7 @@ pub fn schedule_window(
             // ALU class: their packing budget is the tighter of the total
             // width and the ALU slot cap, or unlimited (0) when neither
             // binds.
-            let desc = opts.resources.desc();
+            let desc = &opts.machine;
             let budget = desc.width.min(desc.class_slots[FuClass::Alu.index()]);
             let fus = if budget == UNCAPPED { 0 } else { budget };
             let mut attempt = roll(g, &window, &steady, &pat, fus);
@@ -207,7 +207,7 @@ pub fn schedule_window(
             // whose producers may now sit one row away. No-op under unit
             // latencies.
             if attempt.is_ok() {
-                grip_core::hazards::pad_hazards(g, opts.resources.desc());
+                grip_core::hazards::pad_hazards(g, &opts.machine);
             }
             Some(attempt)
         }
@@ -220,7 +220,7 @@ pub fn schedule_window(
     // workspace doubles as an auditor soak; release builds opt in.
     let audit = if opts.audit || cfg!(debug_assertions) {
         let _span = grip_obs::span!("audit");
-        let rep = grip_audit::audit_schedule(g, ddg, opts.resources.desc());
+        let rep = grip_audit::audit_schedule(g, ddg, &opts.machine);
         debug_assert!(rep.is_clean(), "grip-audit found a scheduler bug: {rep}");
         Some(rep)
     } else {

@@ -219,7 +219,7 @@ mod tests {
     use crate::simplify::simplify_inductions;
     use crate::unwind::unwind;
     use grip_analysis::{Ddg, RankTable};
-    use grip_core::{schedule_region, GripConfig, Resources};
+    use grip_core::{schedule_region, GripConfig};
     use grip_ir::{OpKind, Operand, ProgramBuilder, Value};
     use grip_percolate::Ctx;
 
@@ -262,7 +262,7 @@ mod tests {
         let mut ctx = Ctx::new(&g, &ddg);
         let ranks = RankTable::new(&ddg, true);
         let cfg = GripConfig {
-            resources: Resources::UNLIMITED,
+            machine: MachineDesc::UNLIMITED,
             gap_prevention: true,
             dce: true,
             speculation: Default::default(),
@@ -289,7 +289,7 @@ mod tests {
         let mut ctx = Ctx::new(&g, &ddg);
         let ranks = RankTable::new(&ddg, true);
         let cfg = GripConfig {
-            resources: Resources::UNLIMITED,
+            machine: MachineDesc::UNLIMITED,
             gap_prevention: false,
             dce: true,
             speculation: Default::default(),

@@ -3,8 +3,8 @@
 //! rolled program is observationally identical to the original across many
 //! trip counts.
 
-use grip_core::Resources;
 use grip_ir::{ArrayId, Graph, OpKind, Operand, ProgramBuilder, RegId, Value};
+use grip_machine::MachineDesc;
 use grip_pipeline::{perfect_pipeline, PipelineOptions};
 use grip_vm::{EquivReport, Machine};
 
@@ -49,7 +49,7 @@ fn rolled_loop_is_observationally_identical() {
         let mut g = g0.clone();
         let opts = PipelineOptions {
             unwind: 6,
-            resources: Resources::UNLIMITED,
+            machine: MachineDesc::UNLIMITED,
             fold_inductions: false, // operand-periodic => rollable
             gap_prevention: true,
             dce: true,
@@ -78,7 +78,7 @@ fn rolled_loop_executes_fewer_cycles() {
     let mut g = g0.clone();
     let opts = PipelineOptions {
         unwind: 6,
-        resources: Resources::UNLIMITED,
+        machine: MachineDesc::UNLIMITED,
         fold_inductions: false,
         gap_prevention: true,
         dce: true,
@@ -109,7 +109,7 @@ fn folded_inductions_refuse_to_roll() {
     let mut g = g0.clone();
     let opts = PipelineOptions {
         unwind: 8,
-        resources: Resources::vliw(2),
+        machine: MachineDesc::uniform(2),
         fold_inductions: true,
         gap_prevention: true,
         dce: true,

@@ -22,7 +22,6 @@ use crate::cache::Lru;
 use crate::fingerprint::{graph_fingerprint, Fnv};
 use crate::pool::JobMeta;
 use crate::types::{CacheStatus, ScheduleRequest, ScheduleResponse};
-use grip_core::Resources;
 use grip_ir::Graph;
 use grip_kernels::Kernel;
 use grip_machine::MachineDesc;
@@ -333,7 +332,7 @@ impl Engine {
             &entry.prep.ddg,
             PipelineOptions {
                 unwind,
-                resources: Resources::machine(desc),
+                machine: desc,
                 fold_inductions: req.options.fold_inductions,
                 gap_prevention: req.options.gap_prevention,
                 dce: req.options.dce,

@@ -22,14 +22,16 @@
 //! the `grip-audit` static verification report — the engine audits every
 //! cold schedule either way), and `bounds` (opt into attaching the
 //! `grip-bounds` optimality certificate — likewise proven on every cold
-//! schedule). Unknown request keys are rejected, not ignored. `{"cmd":"stats"}` answers with
-//! the aggregate cache counters after all in-flight requests drain, plus a
-//! `"window"` object — the rolling-window view of the metrics registry
-//! (rates and p50/p95/p99 deltas over the server's sampling window);
-//! `{"cmd":"metrics"}` dumps the process-wide metrics registry (JSON, or
-//! Prometheus text with `"format":"prometheus"`); `{"cmd":"events","n":K}`
-//! returns the flight recorder's last `K` per-request records (and up to
-//! `K` retained slow-request captures), most-recent-first.
+//! schedule). Unknown keys are rejected, not ignored, at every level of
+//! a request, inline machine objects included. `{"cmd":"stats"}` answers
+//! with the aggregate cache counters after all in-flight requests drain,
+//! plus a `"window"` object — the rolling-window view of the metrics
+//! registry (rates and p50/p95/p99 deltas over the server's sampling
+//! window); `{"cmd":"metrics"}` dumps the process-wide metrics registry
+//! (JSON, or Prometheus text with `"format":"prometheus"`);
+//! `{"cmd":"events","n":K}` returns the flight recorder's last `K`
+//! per-request records (and up to `K` retained slow-request captures),
+//! most-recent-first.
 //!
 //! Responses echo the request `id` and carry the full measurement
 //! (cycles, stalls, scheduler counters, fingerprints, verification flag,
@@ -39,7 +41,6 @@
 //! in flight across shards, so ordered output does not serialize the
 //! pool.
 
-use crate::engine::default_unwind;
 use crate::fingerprint;
 use crate::service::Service;
 use crate::types::{
@@ -152,9 +153,7 @@ fn lat_of(j: Option<&Json>, field: &str) -> Result<u32, String> {
     }
 }
 
-/// Every key a request object may carry. Anything else is rejected —
-/// silently ignoring a misspelled `"audti": true` would quietly serve a
-/// different request than the caller believes they made.
+/// Every key a request object may carry.
 const REQUEST_KEYS: [&str; 13] = [
     "id",
     "kernel",
@@ -171,15 +170,40 @@ const REQUEST_KEYS: [&str; 13] = [
     "try_roll",
 ];
 
-/// Parse a wire object into a request.
-pub fn request_from_json(j: &Json) -> Result<ScheduleRequest, String> {
+/// Every key an inline machine object may carry, then the keys of its
+/// `slots` and `latency` objects.
+const MACHINE_KEYS: [&str; 4] = ["width", "cjs", "slots", "latency"];
+const SLOT_KEYS: [&str; 4] = ["alu", "fpu", "mem", "branch"];
+const LATENCY_KEYS: [&str; 5] = ["alu", "fpu", "fpu_long", "mem", "branch"];
+
+/// Reject any key of the object `j` outside `allowed`. Silently ignoring a
+/// misspelled `"audti": true` or `"widht": 2` would quietly serve a
+/// different request than the caller believes they made.
+fn reject_unknown_keys(j: &Json, allowed: &[&str], what: &str) -> Result<(), String> {
     if let Json::Obj(fields) = j {
-        for (key, _) in fields {
-            if !REQUEST_KEYS.contains(&key.as_str()) {
-                return Err(format!("unknown request key \"{key}\""));
-            }
+        if let Some((key, _)) = fields.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+            return Err(format!("unknown {what} key \"{key}\""));
         }
     }
+    Ok(())
+}
+
+/// The optional `key` object of an inline machine `m`, its keys checked
+/// against `allowed`.
+fn machine_table<'j>(m: &'j Json, key: &str, allowed: &[&str]) -> Result<Option<&'j Json>, String> {
+    match m.get(key) {
+        None => Ok(None),
+        Some(t @ Json::Obj(_)) => {
+            reject_unknown_keys(t, allowed, &format!("machine.{key}"))?;
+            Ok(Some(t))
+        }
+        Some(_) => Err(format!("machine.{key} must be an object")),
+    }
+}
+
+/// Parse a wire object into a request.
+pub fn request_from_json(j: &Json) -> Result<ScheduleRequest, String> {
+    reject_unknown_keys(j, &REQUEST_KEYS, "request")?;
     let kernel = j
         .get("kernel")
         .and_then(Json::as_str)
@@ -189,6 +213,7 @@ pub fn request_from_json(j: &Json) -> Result<ScheduleRequest, String> {
     let machine = match j.get("machine") {
         Some(Json::Str(name)) => MachineSpec::Preset(name.clone()),
         Some(m @ Json::Obj(_)) => {
+            reject_unknown_keys(m, &MACHINE_KEYS, "machine")?;
             // `width` must be present, but `null` means uncapped (pure
             // percolation), matching how the writer spells it.
             if m.get("width").is_none() {
@@ -196,9 +221,9 @@ pub fn request_from_json(j: &Json) -> Result<ScheduleRequest, String> {
             }
             let width = cap_of(m.get("width"))?.unwrap_or(grip_machine::UNCAPPED);
             let cjs = cap_of(m.get("cjs"))?;
-            let slots = m.get("slots");
+            let slots = machine_table(m, "slots", &SLOT_KEYS)?;
             let slot = |name: &str| cap_of(slots.and_then(|s| s.get(name)));
-            let lat = m.get("latency");
+            let lat = machine_table(m, "latency", &LATENCY_KEYS)?;
             let latency = LatencyTable {
                 alu: lat_of(lat, "alu")?,
                 fpu: lat_of(lat, "fpu")?,
@@ -454,7 +479,7 @@ enum Frame {
 /// as each is ready** (flushing per line), while the reader keeps
 /// accepting new requests — so lockstep request/response clients get
 /// their answer immediately, and floods still pipeline up to
-/// [`PIPELINE_WINDOW`] requests across the shards. Malformed lines get an
+/// `PIPELINE_WINDOW` (128) requests across the shards. Malformed lines get an
 /// in-order `ok:false` line; `{"cmd":"stats"}` quiesces the pipeline and
 /// answers with aggregate counters. A shard worker dying mid-request
 /// yields an in-band `ok:false` line for that request, not a dead server.
@@ -635,12 +660,6 @@ pub fn serve_tcp(service: Arc<Service>, listener: TcpListener) -> std::io::Resul
     Ok(())
 }
 
-/// The default unwind the protocol documents for a preset width (exposed
-/// so clients can pre-compute cache keys if they care).
-pub fn protocol_default_unwind(width: usize) -> usize {
-    default_unwind(width)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,15 +807,28 @@ mod tests {
             let err = request_from_json(&Json::parse(bad).unwrap()).unwrap_err();
             assert!(err.contains("boolean"), "{bad}: {err}");
         }
-        // Unknown keys are rejected by name, so a typo cannot silently
-        // drop an option on the floor.
-        for (bad, key) in [
-            (r#"{"kernel":"LL1","n":4,"machine":"epic8","audti":true}"#, "audti"),
-            (r#"{"kernel":"LL1","n":4,"machine":"epic8","wants_timings":true}"#, "wants_timings"),
+        // Unknown keys are rejected by name at every level, so a typo
+        // cannot silently drop an option on the floor — or a machine cap:
+        // with `"memory":1` ignored, the memory port used to be uncapped.
+        for (bad, expect) in [
+            (r#""machine":"epic8","audti":true"#, r#"unknown request key "audti""#),
+            (r#""machine":"epic8","wants_timings":true"#, r#"unknown request key "wants_timings""#),
+            (r#""machine":{"widht":2}"#, r#"unknown machine key "widht""#),
+            (r#""machine":{"width":8,"slots":{"memory":1}}"#, r#"machine.slots key "memory""#),
+            (r#""machine":{"width":8,"latency":{"memory":3}}"#, r#"machine.latency key "memory""#),
+            (r#""machine":{"width":8,"slots":1}"#, "machine.slots must be an object"),
+            (r#""machine":{"width":8,"slots":null}"#, "machine.slots must be an object"),
+            (r#""machine":{"width":8,"latency":[3]}"#, "machine.latency must be an object"),
         ] {
-            let err = request_from_json(&Json::parse(bad).unwrap()).unwrap_err();
-            assert!(err.contains("unknown request key") && err.contains(key), "{bad}: {err}");
+            let bad = format!(r#"{{"kernel":"LL1","n":4,{bad}}}"#);
+            let err = request_from_json(&Json::parse(&bad).unwrap()).unwrap_err();
+            assert!(err.contains(expect), "{bad}: {err}");
         }
+        // The correct spelling caps the port.
+        let good = r#"{"kernel":"LL1","n":4,"machine":{"width":8,"slots":{"mem":1}}}"#;
+        let req = request_from_json(&Json::parse(good).unwrap()).unwrap();
+        let MachineSpec::Inline(d) = req.machine else { panic!("inline machine expected") };
+        assert_eq!(d.class_slots[2], 1);
         // The canonical spelling parses.
         let good = r#"{"kernel":"LL1","n":4,"machine":"epic8","audit":true}"#;
         let req = request_from_json(&Json::parse(good).unwrap()).unwrap();

@@ -178,10 +178,13 @@ fn grip_serve_answers_traces_timings_and_metrics() {
 }
 
 /// Hostile single lines against the real binary: 100,000 nested `[` (the
-/// recursive parser used to overflow its stack and abort the process)
-/// and an inline machine with a 4096-cycle memory latency (used to hold
-/// its shard for longer than any client waits). Each gets exactly one
-/// error response, in order, and the valid line after each is served.
+/// recursive parser used to overflow its stack and abort the process),
+/// an inline machine with a 4096-cycle memory latency (used to hold its
+/// shard for longer than any client waits), one with no jump budget
+/// (used to be served with a template violation per iteration), and one
+/// with a misspelled slot key (used to be served on an uncapped memory
+/// port). Each gets exactly one error response, in order, and the valid
+/// line after each is served.
 #[test]
 fn grip_serve_refuses_hostile_lines_and_keeps_serving() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_grip-serve"))
@@ -193,17 +196,26 @@ fn grip_serve_refuses_hostile_lines_and_keeps_serving() {
         .expect("spawn grip-serve");
 
     let mut stdin = child.stdin.take().expect("stdin");
-    let inline = |id: u64, mem: u32| {
-        format!(
-            "{{\"id\":{id},\"kernel\":\"LL1\",\"n\":16,\
-             \"machine\":{{\"width\":4,\"latency\":{{\"mem\":{mem}}}}}}}"
-        )
+    let inline = |id: u64, machine: &str| {
+        format!("{{\"id\":{id},\"kernel\":\"LL1\",\"n\":16,\"machine\":{machine}}}")
     };
-    writeln!(stdin, "{}", "[".repeat(100_000)).expect("write deep line");
-    writeln!(stdin, "{{\"id\":1,\"kernel\":\"LL12\",\"n\":12,\"machine\":\"uniform4\"}}")
-        .expect("write valid request");
-    writeln!(stdin, "{}", inline(2, 4096)).expect("write slow-machine request");
-    writeln!(stdin, "{}", inline(3, 4)).expect("write valid inline request");
+    // Each hostile line is followed by a valid one: (line, expected error).
+    let script = [
+        ("[".repeat(100_000), Some("nesting")),
+        (r#"{"id":1,"kernel":"LL12","n":12,"machine":"uniform4"}"#.to_string(), None),
+        (inline(2, r#"{"width":4,"latency":{"mem":4096}}"#), Some("latency of 4096 cycles")),
+        (inline(3, r#"{"width":4,"latency":{"mem":4}}"#), None),
+        (inline(4, r#"{"width":4,"cjs":0}"#), Some("class BR has zero slots")),
+        (inline(5, r#"{"width":4,"cjs":1}"#), None),
+        (
+            inline(6, r#"{"width":8,"slots":{"memory":1},"latency":{"mem":3}}"#),
+            Some(r#"unknown machine.slots key "memory""#),
+        ),
+        (inline(7, r#"{"width":8,"slots":{"mem":1},"latency":{"mem":3}}"#), None),
+    ];
+    for (line, _) in &script {
+        writeln!(stdin, "{line}").expect("write request line");
+    }
     drop(stdin);
 
     let out = BufReader::new(child.stdout.take().expect("stdout"));
@@ -214,19 +226,24 @@ fn grip_serve_refuses_hostile_lines_and_keeps_serving() {
             Json::parse(l.trim()).unwrap_or_else(|e| panic!("bad line {l:?}: {e}"))
         })
         .collect();
-    assert!(child.wait().expect("wait").success(), "grip-serve must survive both lines");
-    assert_eq!(lines.len(), 4, "one answer per line: {lines:?}");
+    assert!(child.wait().expect("wait").success(), "grip-serve must survive every line");
+    assert_eq!(lines.len(), script.len(), "one answer per line: {lines:?}");
 
     let ok = |j: &Json| j.get("ok").and_then(Json::as_bool);
     let error = |j: &Json| j.get("error").and_then(Json::as_str).unwrap_or("").to_string();
-    assert_eq!(ok(&lines[0]), Some(false));
-    assert!(error(&lines[0]).contains("nesting"), "{}", error(&lines[0]));
-    assert_eq!(lines[2].get("id").and_then(Json::as_i64), Some(2));
-    assert_eq!(ok(&lines[2]), Some(false));
-    assert!(error(&lines[2]).contains("latency of 4096 cycles"), "{}", error(&lines[2]));
-    for (line, id) in [(&lines[1], 1), (&lines[3], 3)] {
-        assert_eq!(line.get("id").and_then(Json::as_i64), Some(id));
-        assert_eq!(ok(line), Some(true), "{}", error(line));
-        assert_eq!(line.get("verified").and_then(Json::as_bool), Some(true));
+    for (i, (line, (_, expect))) in lines.iter().zip(&script).enumerate() {
+        if i > 0 {
+            assert_eq!(line.get("id").and_then(Json::as_i64), Some(i as i64));
+        }
+        match expect {
+            Some(e) => {
+                assert_eq!(ok(line), Some(false), "line {i}");
+                assert!(error(line).contains(e), "line {i}: {}", error(line));
+            }
+            None => {
+                assert_eq!(ok(line), Some(true), "line {i}: {}", error(line));
+                assert_eq!(line.get("verified").and_then(Json::as_bool), Some(true));
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@ fn main() {
             &mut g,
             PipelineOptions {
                 unwind: (2 * fus).clamp(8, 20),
-                resources: Resources::vliw(fus),
+                machine: MachineDesc::uniform(fus),
                 ..Default::default()
             },
         );
@@ -40,7 +40,7 @@ fn main() {
             &mut g,
             PipelineOptions {
                 unwind: 12,
-                resources: Resources::with_limits(8, cjs),
+                machine: MachineDesc { cjs, ..MachineDesc::uniform(8) },
                 ..Default::default()
             },
         );

@@ -33,11 +33,7 @@ fn main() {
         let mut g = g0.clone();
         perfect_pipeline(
             &mut g,
-            PipelineOptions {
-                unwind: 8,
-                resources: Resources::machine(desc),
-                ..Default::default()
-            },
+            PipelineOptions { unwind: 8, machine: desc, ..Default::default() },
         );
 
         // Both programs run under the same latency model; equivalence is

@@ -23,7 +23,11 @@ fn main() {
     let mut g_grip = g0.clone();
     let grip = perfect_pipeline(
         &mut g_grip,
-        PipelineOptions { resources: Resources::vliw(fus), unwind: 3 * fus, ..Default::default() },
+        PipelineOptions {
+            machine: MachineDesc::uniform(fus),
+            unwind: 3 * fus,
+            ..Default::default()
+        },
     );
     let mut g_post = g0.clone();
     let post = post_pipeline(&mut g_post, PostOptions::vliw(3 * fus, fus));

@@ -37,7 +37,7 @@ fn main() {
         &mut g,
         PipelineOptions {
             unwind: 6,
-            resources: Resources::UNLIMITED,
+            machine: MachineDesc::UNLIMITED,
             fold_inductions: false,
             gap_prevention: true,
             dce: true,

@@ -29,7 +29,7 @@ fn main() {
     // Pipeline for 4 functional units.
     let report = perfect_pipeline(
         &mut g,
-        PipelineOptions { resources: Resources::vliw(4), ..Default::default() },
+        PipelineOptions { machine: MachineDesc::uniform(4), ..Default::default() },
     );
     println!("sequential cycles/iteration : {:.1}", report.seq_cpi());
     println!("pipelined  cycles/iteration : {:.2}", report.pipelined_cpi().unwrap());

@@ -44,7 +44,7 @@
 //!
 //! // Pipeline for a 4-wide VLIW.
 //! let report = perfect_pipeline(&mut g, PipelineOptions {
-//!     resources: Resources::vliw(4),
+//!     machine: MachineDesc::uniform(4),
 //!     ..Default::default()
 //! });
 //! let speedup = report.speedup().expect("loop pipelines");
@@ -67,7 +67,7 @@
 //! let mut g = g0.clone();
 //! let desc = MachineDesc::mem_bound();
 //! perfect_pipeline(&mut g, PipelineOptions {
-//!     resources: Resources::machine(desc),
+//!     machine: desc,
 //!     unwind: 6,
 //!     ..Default::default()
 //! });
@@ -100,11 +100,11 @@ pub mod prelude {
     pub use grip_audit::{audit_schedule, AuditCode, AuditReport, Diagnostic};
     pub use grip_baselines::{post_pipeline, schedule_unifiable, PostOptions};
     pub use grip_bounds::{BindingConstraint, BoundCertificate};
-    pub use grip_core::{schedule_region, GripConfig, Resources};
+    pub use grip_core::{schedule_region, GripConfig};
     pub use grip_ir::{
         ArrayId, Graph, NodeId, OpId, OpKind, Operand, Operation, ProgramBuilder, RegId, Value,
     };
-    pub use grip_machine::{FuClass, LatencyTable, MachineDesc, MachineModel};
+    pub use grip_machine::{FuClass, LatencyTable, MachineDesc};
     pub use grip_percolate::Ctx;
     pub use grip_pipeline::{perfect_pipeline, PipelineOptions, PipelineReport};
     pub use grip_service::{

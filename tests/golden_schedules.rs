@@ -25,8 +25,8 @@
 //! column of the grid to keep `cargo test` fast.
 
 use grip_bench::golden::{golden_cell, golden_table};
-use grip_core::MachineDesc;
 use grip_json::Json;
+use grip_machine::MachineDesc;
 use std::collections::HashMap;
 
 /// (machine, kernel) cells whose schedule the multi-hop hazard backfill

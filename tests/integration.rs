@@ -27,7 +27,7 @@ fn trip() -> i64 {
 fn grip_opts(fus: usize) -> PipelineOptions {
     PipelineOptions {
         unwind: unwind_for(fus),
-        resources: Resources::vliw(fus),
+        machine: MachineDesc::uniform(fus),
         fold_inductions: true,
         gap_prevention: true,
         dce: true,
@@ -128,7 +128,7 @@ fn recurrences_saturate() {
         let s16 = perfect_pipeline(
             &mut g16,
             PipelineOptions {
-                resources: Resources::vliw(16),
+                machine: MachineDesc::uniform(16),
                 unwind: unwind_for(8),
                 ..grip_opts(8)
             },

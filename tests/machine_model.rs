@@ -1,8 +1,8 @@
 //! Machine-description subsystem, end to end:
 //!
-//! * the `uniform(n)` preset must reproduce the seed's flat
-//!   `Resources::vliw(n)` machine **bit-for-bit** — identical schedules
-//!   and identical cycle counts on every Livermore kernel;
+//! * the `uniform(n)` preset must reproduce a hand-built flat machine
+//!   **bit-for-bit** — identical schedules and identical cycle counts on
+//!   every Livermore kernel;
 //! * the heterogeneous presets (`clustered`, `mem_bound`, `epic8`) must
 //!   schedule LL1–LL14 end to end with VM-verified equivalence to
 //!   sequential execution, zero issue-template violations, and steady
@@ -10,7 +10,6 @@
 
 use grip::kernels::kernels;
 use grip::prelude::*;
-use grip_machine::MachineDesc;
 
 fn trip() -> i64 {
     if cfg!(debug_assertions) {
@@ -20,10 +19,10 @@ fn trip() -> i64 {
     }
 }
 
-fn opts(resources: Resources, unwind: usize) -> PipelineOptions {
+fn opts(machine: MachineDesc, unwind: usize) -> PipelineOptions {
     PipelineOptions {
         unwind,
-        resources,
+        machine,
         fold_inductions: true,
         gap_prevention: true,
         dce: true,
@@ -34,9 +33,9 @@ fn opts(resources: Resources, unwind: usize) -> PipelineOptions {
 
 /// Schedule a kernel and return the final graph dump plus the measured
 /// execution cycle count on the standard inputs.
-fn schedule_and_run(k: &grip::kernels::Kernel, n: i64, resources: Resources) -> (String, u64) {
+fn schedule_and_run(k: &grip::kernels::Kernel, n: i64, machine: MachineDesc) -> (String, u64) {
     let mut g = (k.build)(n);
-    perfect_pipeline(&mut g, opts(resources, 6));
+    perfect_pipeline(&mut g, opts(machine, 6));
     g.validate().unwrap_or_else(|e| panic!("{}: {e}", k.name));
     let mut m = Machine::for_graph(&g);
     (k.init)(&g, &mut m, n);
@@ -45,35 +44,26 @@ fn schedule_and_run(k: &grip::kernels::Kernel, n: i64, resources: Resources) -> 
 }
 
 /// Equivalence property: for every kernel and width, the `uniform(n)`
-/// preset routed through the machine-description layer produces the
-/// *identical* schedule (same dump) and identical cycle count as the
-/// flat `Resources::vliw(n)` constructor.
+/// preset produces the *identical* schedule (same dump) and identical
+/// cycle count as a hand-built flat description (width-only cap,
+/// uncapped classes, unit latencies) under another name — so the name
+/// never affects a schedule.
 #[test]
 fn uniform_preset_is_bit_for_bit_the_flat_machine() {
     let n = trip();
     for k in kernels() {
         for width in [2usize, 4, 8] {
-            let (dump_vliw, cycles_vliw) = schedule_and_run(k, n, Resources::vliw(width));
-            let (dump_uni, cycles_uni) =
-                schedule_and_run(k, n, Resources::machine(MachineDesc::uniform(width)));
-            // A hand-built flat description must also agree: width-only
-            // cap, uncapped classes, unit latencies.
+            let (dump_uni, cycles_uni) = schedule_and_run(k, n, MachineDesc::uniform(width));
             let handmade = MachineDesc {
                 name: "handmade",
                 width,
                 cjs: grip_machine::UNCAPPED,
-                class_slots: [grip_machine::UNCAPPED; grip_machine::FuClass::COUNT],
-                latency: grip_machine::LatencyTable::UNIT,
+                class_slots: [grip_machine::UNCAPPED; FuClass::COUNT],
+                latency: LatencyTable::UNIT,
             };
-            let (dump_hand, cycles_hand) = schedule_and_run(k, n, Resources::machine(handmade));
-            assert_eq!(
-                dump_vliw, dump_uni,
-                "{} @{width}: uniform preset diverged from vliw",
-                k.name
-            );
-            assert_eq!(cycles_vliw, cycles_uni, "{} @{width}: cycle count", k.name);
-            assert_eq!(dump_vliw, dump_hand, "{} @{width}: handmade flat desc", k.name);
-            assert_eq!(cycles_vliw, cycles_hand, "{} @{width}: handmade cycles", k.name);
+            let (dump_hand, cycles_hand) = schedule_and_run(k, n, handmade);
+            assert_eq!(dump_uni, dump_hand, "{} @{width}: handmade flat desc", k.name);
+            assert_eq!(cycles_uni, cycles_hand, "{} @{width}: handmade cycles", k.name);
         }
     }
 }
@@ -86,7 +76,7 @@ fn uniform_model_run_has_no_stalls() {
     for k in kernels().iter().take(4) {
         let desc = MachineDesc::uniform(4);
         let mut g = (k.build)(n);
-        perfect_pipeline(&mut g, opts(Resources::machine(desc), 6));
+        perfect_pipeline(&mut g, opts(desc, 6));
         let mut m0 = Machine::for_graph(&g);
         (k.init)(&g, &mut m0, n);
         let plain = m0.run(&g).unwrap();
@@ -109,7 +99,7 @@ fn heterogeneous_presets_schedule_all_kernels_exactly() {
         for k in kernels() {
             let g0 = (k.build)(n);
             let mut g = g0.clone();
-            let rep = perfect_pipeline(&mut g, opts(Resources::machine(desc), 6));
+            let rep = perfect_pipeline(&mut g, opts(desc, 6));
             g.validate().unwrap_or_else(|e| panic!("{} on {}: {e}", k.name, desc.name));
 
             // Bitwise equivalence against the sequential original.
@@ -152,7 +142,7 @@ fn mem_bound_port_limits_memory_issue() {
     let desc = MachineDesc::mem_bound();
     let k = kernels().iter().find(|k| k.name == "LL1").unwrap();
     let mut g = (k.build)(trip());
-    let rep = perfect_pipeline(&mut g, opts(Resources::machine(desc), 6));
+    let rep = perfect_pipeline(&mut g, opts(desc, 6));
     let mut any_mem = false;
     for &row in &rep.steady {
         if !g.node_exists(row) {
@@ -177,7 +167,7 @@ fn latency_model_speedup_is_real() {
         let k = kernels().iter().find(|k| k.name == name).unwrap();
         let g0 = (k.build)(n);
         let mut g = g0.clone();
-        perfect_pipeline(&mut g, opts(Resources::machine(desc), 8));
+        perfect_pipeline(&mut g, opts(desc, 8));
         let mut m0 = Machine::for_graph(&g0);
         (k.init)(&g0, &mut m0, n);
         let seq = m0.run_model(&g0, &desc).unwrap();

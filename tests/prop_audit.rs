@@ -263,7 +263,7 @@ fn auditor_catches_every_vm_detectable_corruption() {
                 prep.window,
                 &ddg,
                 PipelineOptions {
-                    resources: Resources::machine(desc),
+                    machine: desc,
                     audit: true,
                     try_roll: false,
                     ..Default::default()

@@ -129,7 +129,7 @@ fn init(m: &mut Machine, len: usize) {
 fn pipeline_opts(desc: MachineDesc, unwind: usize) -> PipelineOptions {
     PipelineOptions {
         unwind,
-        resources: Resources::machine(desc),
+        machine: desc,
         fold_inductions: true,
         gap_prevention: true,
         dce: true,

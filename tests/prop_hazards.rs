@@ -122,7 +122,7 @@ fn check_stall_free(g0: &Graph, desc: MachineDesc, len: usize, label: &str) {
         &mut g,
         PipelineOptions {
             unwind: (width + 2).min(8),
-            resources: Resources::machine(desc),
+            machine: desc,
             fold_inductions: true,
             gap_prevention: true,
             dce: true,
@@ -187,7 +187,7 @@ fn kernels_schedule_stall_free_on_all_presets() {
                 &mut g,
                 PipelineOptions {
                     unwind: 6,
-                    resources: Resources::machine(desc),
+                    machine: desc,
                     fold_inductions: true,
                     gap_prevention: true,
                     dce: true,

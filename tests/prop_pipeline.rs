@@ -141,7 +141,7 @@ fn pipelined_random_loops_are_exact() {
             &mut g,
             PipelineOptions {
                 unwind: 8,
-                resources: Resources::vliw(r.fus),
+                machine: MachineDesc::uniform(r.fus),
                 fold_inductions: true,
                 gap_prevention: true,
                 dce: true,
@@ -170,7 +170,7 @@ fn pipelined_random_loops_respect_width() {
             &mut g,
             PipelineOptions {
                 unwind: 8,
-                resources: Resources::vliw(r.fus),
+                machine: MachineDesc::uniform(r.fus),
                 fold_inductions: true,
                 gap_prevention: true,
                 dce: true,
