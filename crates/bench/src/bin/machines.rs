@@ -147,7 +147,7 @@ fn main() {
     print!("{}", render_machines(&cells));
 
     let path = "BENCH_machines.json";
-    match std::fs::write(path, machines_json(n, &cells).pretty()) {
+    match std::fs::write(path, machines_json(n, &cells, !parallel).pretty()) {
         Ok(()) => eprintln!("\nwrote {path}"),
         Err(e) => eprintln!("\ncould not write {path}: {e}"),
     }

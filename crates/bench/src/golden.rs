@@ -19,6 +19,7 @@
 
 use crate::json::Json;
 use crate::unwind_for;
+use grip_core::ScheduleStats;
 use grip_ir::{Fnv, Graph, NodeId};
 use grip_kernels::Kernel;
 use grip_machine::MachineDesc;
@@ -39,20 +40,22 @@ pub struct GoldenCell {
     /// Latency-aware model cycles of the scheduled program (the bar a
     /// waived cell must not regress).
     pub sched_cycles: u64,
-    /// Candidate-selection rounds the scheduler ran (`stats.picks`).
-    pub picks: u64,
+    /// Every scheduler counter of the run (picks, hops, resource and
+    /// latency blocks, …): the wire-visible `stats` of the response.
+    pub stats: ScheduleStats,
 }
 
 impl GoldenCell {
-    /// Serialize for `tests/golden_schedules.json`.
+    /// Serialize for `tests/golden_schedules.json` (the counters as flat
+    /// fields after the digest, rows and cycles).
     pub fn to_json(&self) -> Json {
-        Json::obj()
+        let head = Json::obj()
             .field("machine", self.machine.as_str())
             .field("kernel", self.kernel.as_str())
             .field("digest", format!("{:016x}", self.digest).as_str())
             .field("rows", self.rows)
-            .field("sched_cycles", self.sched_cycles)
-            .field("picks", self.picks)
+            .field("sched_cycles", self.sched_cycles);
+        self.stats.named().into_iter().fold(head, |j, (name, v)| j.field(name, v))
     }
 }
 
@@ -97,7 +100,7 @@ pub fn golden_cell(k: &Kernel, n: i64, desc: MachineDesc) -> GoldenCell {
         digest,
         rows: rep.steady.len(),
         sched_cycles,
-        picks: rep.stats.picks,
+        stats: rep.stats,
     }
 }
 

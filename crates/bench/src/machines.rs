@@ -249,11 +249,16 @@ pub fn remeasure_unaccounted(cells: &mut [MachineCell], n: i64, min_cover: f64) 
     redone
 }
 
-/// The whole sweep as one JSON document.
-pub fn machines_json(n: i64, cells: &[MachineCell]) -> Json {
+/// The whole sweep as one JSON document. It records the host's core
+/// count (`nproc`) and whether the sweep ran serially (`seq`), because
+/// the per-cell walls depend on both.
+pub fn machines_json(n: i64, cells: &[MachineCell], serial: bool) -> Json {
+    let nproc = std::thread::available_parallelism().map_or(0, |p| p.get());
     Json::obj()
         .field("bench", "machines")
         .field("trip_count", n)
+        .field("nproc", nproc)
+        .field("seq", serial)
         .field(
             "machines",
             MachineDesc::presets()

@@ -12,7 +12,7 @@
 //! `Gapless-move` test and the three suspension rules, which is what makes
 //! Perfect Pipelining converge.
 
-use grip_analysis::RankTable;
+use grip_analysis::{Priority, RankTable};
 use grip_ir::{Graph, NodeId, OpId, TreePath};
 use grip_machine::MachineDesc;
 use grip_percolate::{
@@ -122,6 +122,31 @@ pub struct ScheduleStats {
     pub hazard_reclaimed_rows: u64,
 }
 
+impl ScheduleStats {
+    /// Every counter with its field name, in declaration order (the order
+    /// the wire response lists them).
+    pub fn named(&self) -> [(&'static str, u64); 16] {
+        [
+            ("hops", self.hops),
+            ("arrivals", self.arrivals),
+            ("renames", self.renames),
+            ("splits", self.splits),
+            ("suspensions", self.suspensions),
+            ("gap_rejections", self.gap_rejections),
+            ("resource_blocks", self.resource_blocks),
+            ("latency_blocks", self.latency_blocks),
+            ("dce_removed", self.dce_removed),
+            ("nodes_deleted", self.nodes_deleted),
+            ("deletions_blocked", self.deletions_blocked),
+            ("picks", self.picks),
+            ("speculation_vetoes", self.speculation_vetoes),
+            ("hazard_delay_rows", self.hazard_delay_rows),
+            ("hazard_backfills", self.hazard_backfills),
+            ("hazard_reclaimed_rows", self.hazard_reclaimed_rows),
+        ]
+    }
+}
+
 /// One event of a traced schedule.
 #[derive(Clone, Debug)]
 pub enum TraceEvent {
@@ -156,8 +181,9 @@ pub enum TraceEvent {
 /// in the bit-identity invariant (a cache hit must equal its cold run,
 /// counters included), while timings vary run to run. Phases:
 ///
-/// * `cand_refresh` — building, sorting, and scanning the priority
-///   candidate list in `Grip::pick_candidate`;
+/// * `cand_refresh` — keeping and scanning the candidate index in
+///   `Grip::pick_candidate`, including the picks that replay a sleeping
+///   room or latency verdict instead of probing again;
 /// * `legality` — the per-hop probe chain in `Grip::migrate`:
 ///   parent search, suspension rules, resource/template room, latency
 ///   guard, gapless-move test, and the `plan_move_*` dry runs;
@@ -166,9 +192,20 @@ pub enum TraceEvent {
 /// * `dead_sweep` — incremental dead-op sweeping and the DCE / empty-row
 ///   passes between nodes.
 ///
+/// `cand_refresh` and `legality` are sampled: `Grip::pick_candidate` and
+/// `Grip::migrate` each read the clock on one call in 64 and charge that
+/// call's self time 64 times over, because two clock reads per pick cost
+/// about a fifth of a sweep. Over thousands of picks the sampled totals
+/// track those of a build that times every call; a run of fewer than 64
+/// picks reports zero for both. `commit` and `dead_sweep` are timed on
+/// every call.
+///
 /// The four phases don't cover the whole `grip` span (the hazard
 /// post-pass, the per-pick room check, and loop bookkeeping fall
 /// outside), so they are reported as self-times, not a decomposition.
+/// A timed call is measured on its own between two clock reads, while
+/// untimed calls overlap with their neighbours, so the sampled phases
+/// can add up to more than the span they sit in.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Candidate-list refresh + scan nanoseconds.
@@ -211,6 +248,39 @@ pub struct ScheduleOutput {
     pub phases: PhaseTimes,
 }
 
+/// `Grip::pick_candidate` and `Grip::migrate` read the clock on one call
+/// in `PHASE_SAMPLE` and charge its self time `PHASE_SAMPLE` times over.
+const PHASE_SAMPLE: u64 = 64;
+
+/// The phase clock of one sampled wrapper (see [`PhaseTimes`]).
+struct SampledClock {
+    calls: u64,
+    /// The shortest interval two back-to-back clock reads measure. Every
+    /// sample includes one such read, which the unsampled calls do not
+    /// pay, so it comes off each sample before the scaling.
+    floor_ns: u64,
+}
+
+impl SampledClock {
+    fn new() -> SampledClock {
+        let floor_ns = (0..8).map(|_| Instant::now().elapsed().as_nanos() as u64).min();
+        SampledClock { calls: 0, floor_ns: floor_ns.unwrap_or(0) }
+    }
+
+    /// The start of this call's sample, when it is the sampled call.
+    fn start(&mut self) -> Option<Instant> {
+        self.calls += 1;
+        (self.calls % PHASE_SAMPLE == 0).then(Instant::now)
+    }
+
+    /// The sample's self time, less `nested_ns` attributed elsewhere,
+    /// scaled to the `PHASE_SAMPLE` calls it stands for.
+    fn charge(&self, t0: Instant, nested_ns: u64) -> u64 {
+        let elapsed = t0.elapsed().as_nanos() as u64;
+        PHASE_SAMPLE * elapsed.saturating_sub(nested_ns + self.floor_ns)
+    }
+}
+
 /// How far a migration got.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Migrated {
@@ -218,8 +288,8 @@ enum Migrated {
     Arrived,
     /// Moved at least one hop but stopped short.
     Partial,
-    /// Could not move at all (dependence or resource block).
-    Stuck(StuckReason),
+    /// Could not move at all.
+    Stuck(Blocked),
     /// Gap prevention suspended the op mid-flight.
     Suspended,
     /// A hop succeeded while suspensions were pending: return to re-rank
@@ -227,11 +297,50 @@ enum Migrated {
     YieldAfterMove,
 }
 
+/// Why an op cannot make its next hop. `Grip::probe_hop` checks the
+/// first four in `migrate`'s order; the hop itself can still turn out
+/// illegal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum StuckReason {
-    Dependence,
-    Resources,
+enum Blocked {
+    /// Suspension rule 1 or 3.
+    Suspension,
+    /// No forward path from the node being scheduled (or the op is gone).
     NoPath,
+    /// The target row has no room for the op.
+    NoRoom(NodeId),
+    /// Landing in the target row would break a producer's latency; the
+    /// producer sits on the `usize`-th row the walk above the target read.
+    Latency(NodeId, usize),
+    /// The planned move is illegal, or a policy refused it.
+    Illegal,
+}
+
+/// A first hop that found no room or hit the latency guard, with what the
+/// probe read: while none of it changes, a repeat pick of the op gets the
+/// same verdict, so the candidate scan replays it without probing.
+#[derive(Clone, Copy, Debug)]
+struct Verdict {
+    /// The node being scheduled and [`Graph::edge_version`]: together they
+    /// fix the op's target row and the region order.
+    node: NodeId,
+    edges: u64,
+    /// The op's row.
+    row: NodeId,
+    /// [`Graph::version`] when the verdict was taken.
+    version: u64,
+    /// [`Blocked::NoRoom`] or [`Blocked::Latency`].
+    blocked: Blocked,
+}
+
+/// What the hops since the last scan did to the candidate index's order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Reorder {
+    /// Nothing moved.
+    Kept,
+    /// One plain op moved up: only its own entry is out of place.
+    Moved(OpId),
+    /// A cj hop restructured rows: rebuild.
+    Rebuild,
 }
 
 /// Reusable epoch-stamped visited set: `visit` marks-and-tests without
@@ -315,7 +424,7 @@ pub struct Grip<'g, 'a> {
     /// Memoized per-op priorities: an op's rank inputs (`orig`, `iter`,
     /// the prebuilt chain metrics) are fixed at creation, so the priority
     /// is computed once per op instead of once per candidate scan.
-    prio: Vec<Option<grip_analysis::Priority>>,
+    prio: Vec<Option<Priority>>,
     /// Epoch-stamped skip sets for [`Grip::schedule_node`] (dependence /
     /// resource freezes), replacing per-node `HashSet` churn.
     dep_skip: Vec<u64>,
@@ -332,16 +441,27 @@ pub struct Grip<'g, 'a> {
     pt_val: Vec<Option<(NodeId, TreePath)>>,
     pt_gen: u64,
     pt_key: Option<(NodeId, u64)>,
-    /// Priority-sorted candidate list for [`Grip::pick_candidate`],
-    /// rebuilt once per skip-set epoch (any hop, split, or deletion bumps
-    /// an epoch, so region membership and placements are frozen while the
-    /// list is live; stale entries are skipped lazily).
-    cand: Vec<(grip_analysis::Priority, OpId)>,
+    /// The candidate index for [`Grip::pick_candidate`]: the ops below the
+    /// node being scheduled, ordered by (priority, region row, pre-order
+    /// index in the row). Kept for the whole node; entries of ops that
+    /// were removed or reached the node go stale and are skipped lazily.
+    cand: Vec<(Priority, OpId)>,
+    /// The skip-set epochs of the last scan, and the op table length the
+    /// index was built at (rename copies and split clones grow it).
     cand_key: (u64, u64),
+    cand_ops: usize,
+    /// What the hops since the last scan did to the index's order.
+    cand_reorder: Reorder,
     /// Where the next scan of `cand` resumes (the last entry returned),
     /// and the first candidate row that scan was taken under.
     cand_cursor: usize,
     cand_start: usize,
+    /// Sleeping first-hop verdicts, by op.
+    verdicts: Vec<Option<Verdict>>,
+    /// The sampled clocks of [`Grip::pick_candidate`] and
+    /// [`Grip::migrate`].
+    pick_clock: SampledClock,
+    migrate_clock: SampledClock,
     /// Lowest region index the dead-op sweep has covered this epoch (a
     /// falling suspension floor re-exposes rows that must be re-swept).
     dead_start: usize,
@@ -385,8 +505,13 @@ impl<'g, 'a> Grip<'g, 'a> {
             pt_key: None,
             cand: Vec::new(),
             cand_key: (0, 0),
+            cand_ops: 0,
+            cand_reorder: Reorder::Kept,
             cand_cursor: 0,
             cand_start: 0,
+            verdicts: Vec::new(),
+            pick_clock: SampledClock::new(),
+            migrate_clock: SampledClock::new(),
             dead_start: usize::MAX,
             stats: ScheduleStats::default(),
             phases: PhaseTimes::default(),
@@ -483,7 +608,7 @@ impl<'g, 'a> Grip<'g, 'a> {
                 break;
             }
             self.stats.picks += 1;
-            let Some(op) = self.pick_candidate(n) else { break };
+            let Some(op) = self.pick_candidate(n, true) else { break };
             let hops_before = self.stats.hops;
             let mut suspended_now = false;
             match self.migrate(n, op) {
@@ -499,7 +624,7 @@ impl<'g, 'a> Grip<'g, 'a> {
                     // It moved but cannot reach n (for now): freeze for n.
                     mark(&mut self.dep_skip, self.dep_epoch, op);
                 }
-                Migrated::Stuck(StuckReason::Resources) => {
+                Migrated::Stuck(Blocked::NoRoom(_) | Blocked::Latency(..)) => {
                     mark(&mut self.res_skip, self.res_epoch, op);
                 }
                 Migrated::Stuck(_) => {
@@ -516,8 +641,9 @@ impl<'g, 'a> Grip<'g, 'a> {
                 self.res_epoch += 1;
             }
             // Deadlock guard: a suspension with no other moveable op below
-            // would spin — treat the op as frozen for this node.
-            if suspended_now && self.pick_candidate(n).is_none() {
+            // would spin — treat the op as frozen for this node. The peek
+            // replays no verdict: it only asks whether a candidate exists.
+            if suspended_now && self.pick_candidate(n, false).is_none() {
                 self.suspended.retain(|&o| o != op);
                 mark(&mut self.dep_skip, self.dep_epoch, op);
             }
@@ -527,13 +653,19 @@ impl<'g, 'a> Grip<'g, 'a> {
     /// Highest-priority op placed strictly below `n` in the region,
     /// honouring suspension rule 3 and the skip sets.
     ///
-    /// The candidate list is sorted by priority once per skip-set epoch
-    /// and scanned for the first still-valid entry. Any structural change
-    /// (a hop, split, rename, or deletion) bumps an epoch before the next
-    /// pick, so placements, region order and liveness are frozen while the
-    /// list is live — the sorted walk returns exactly the op a full region
-    /// rescan would have chosen (stable sort: priority ties keep the
-    /// region scan order the rescan used).
+    /// The candidate index (`cand`) is kept per node, not rebuilt per
+    /// epoch. It holds every op below `n` in (priority, region row,
+    /// pre-order index in the row) order, which is what a stable priority
+    /// sort of the row-major region scan gives, so the first still-valid
+    /// entry is exactly the op a full rescan would choose. Ties keep that
+    /// scan order because bit-identity depends on it. A node start
+    /// builds the index. A plain op hop moves only the hopped op's entry,
+    /// within its equal-priority run: every other op keeps its row order
+    /// and its place within its row, and deleting an emptied row shifts
+    /// all rows below it alike. Only a grown op table (rename copies,
+    /// split clones) or a cj hop, which restructures rows, rebuilds the
+    /// index mid-node. Removed ops and ops that reached `n` stay behind as
+    /// stale entries and are skipped.
     ///
     /// Within an epoch a skipped entry stays skipped: skip marks only
     /// accumulate, removed ops never return, and a suspension is only
@@ -543,54 +675,60 @@ impl<'g, 'a> Grip<'g, 'a> {
     /// which re-exposes entries skipped for sitting above it: the scan
     /// then starts over.
     ///
-    /// Timing wrapper: the whole call is `cand_refresh` self time, minus
-    /// whatever the nested [`Grip::sweep_dead`] attributed to
-    /// `dead_sweep`. Reading the clock changes no decision — the inner
-    /// logic is untouched.
-    fn pick_candidate(&mut self, n: NodeId) -> Option<OpId> {
-        let t0 = Instant::now();
+    /// With `replay` set, the scan replays a sleeping verdict instead of
+    /// returning its op (see [`Grip::sleeping`]): it counts the pick and
+    /// the block exactly as `migrate` would have, freezes the op for the
+    /// epoch, and moves on to the next pick. Nothing changed in between,
+    /// so the next pick sees the same floor, epoch and room as a fresh
+    /// call would.
+    ///
+    /// Timing wrapper: on one call in `PHASE_SAMPLE`, the call's self time
+    /// (minus whatever the nested [`Grip::sweep_dead`] attributed to
+    /// `dead_sweep`) is charged `PHASE_SAMPLE` times to `cand_refresh`.
+    /// Reading the clock changes no decision.
+    fn pick_candidate(&mut self, n: NodeId, replay: bool) -> Option<OpId> {
+        let Some(t0) = self.pick_clock.start() else {
+            return self.pick_candidate_inner(n, replay);
+        };
         let sweep_before = self.phases.dead_sweep_ns;
-        let out = self.pick_candidate_inner(n);
-        let elapsed = t0.elapsed().as_nanos() as u64;
+        let out = self.pick_candidate_inner(n, replay);
         let swept = self.phases.dead_sweep_ns - sweep_before;
-        self.phases.cand_refresh_ns += elapsed.saturating_sub(swept);
+        self.phases.cand_refresh_ns += self.pick_clock.charge(t0, swept);
         out
     }
 
-    fn pick_candidate_inner(&mut self, n: NodeId) -> Option<OpId> {
+    fn pick_candidate_inner(&mut self, n: NodeId, replay: bool) -> Option<OpId> {
         let npos = self.pos.get(n).expect("scheduled node is in the region");
         // Rule 3: with pending suspensions only ops strictly below the
         // lowest (deepest) suspended op may move.
-        let floor = if self.suspended.is_empty() {
-            npos
-        } else {
-            self.suspended
-                .iter()
-                .filter_map(|&o| self.g.placement(o))
-                .filter_map(|m| self.pos.get(m))
-                .max()
-                .unwrap_or(npos)
-        };
+        let floor = self.deepest_suspended().unwrap_or(npos);
         let start = floor.max(npos) + 1;
         if self.cand_key != (self.dep_epoch, self.res_epoch) {
             // New epoch: sweep dead ops below the floor (the rescan used
-            // to fold this into candidate scanning), then rebuild the
-            // sorted list over every surviving op below `n`.
+            // to fold this into candidate scanning), then bring the index
+            // up to date: rebuilt on a node start (a new dep epoch), a
+            // grown op table or a cj hop, else one entry moved.
+            let rebuild = self.cand_key.0 != self.dep_epoch
+                || self.cand_ops != self.g.op_table_len()
+                || self.cand_reorder == Reorder::Rebuild;
             self.cand_key = (self.dep_epoch, self.res_epoch);
             self.sweep_dead(start, self.region.len());
             self.dead_start = start;
-            self.cand.clear();
-            for idx in (npos + 1)..self.region.len() {
-                let m = self.region[idx];
-                if !self.g.node_exists(m) {
-                    continue;
-                }
-                for &(_, op) in self.g.node_ops(m) {
-                    let p = prio_of(&mut self.prio, self.ranks, self.g, op);
-                    self.cand.push((p, op));
-                }
+            if rebuild {
+                candidate_order(
+                    self.g,
+                    self.ranks,
+                    &mut self.prio,
+                    &self.region[npos + 1..],
+                    &mut self.cand,
+                );
+                self.cand_ops = self.g.op_table_len();
+            } else if let Reorder::Moved(op) = self.cand_reorder {
+                self.reinsert_candidate(op, npos);
+                #[cfg(debug_assertions)]
+                self.assert_index_fresh(npos);
             }
-            self.cand.sort_by_key(|&(p, _)| p);
+            self.cand_reorder = Reorder::Kept;
             self.cand_cursor = 0;
         } else if start < self.dead_start {
             // The suspension floor dropped without a structural change
@@ -603,15 +741,102 @@ impl<'g, 'a> Grip<'g, 'a> {
             self.cand_cursor = 0;
         }
         self.cand_start = start;
-        // Stale entries: removed ops have no placement; the floor filter
-        // applies to the op's (frozen) current row.
-        let from = self.cand_cursor;
-        let hit = self.cand[from..].iter().position(|&(_, op)| {
-            !self.frozen(op)
-                && self.g.placement(op).and_then(|m| self.pos.get(m)).is_some_and(|mp| mp >= start)
-        });
-        self.cand_cursor = hit.map_or(self.cand.len(), |i| from + i);
-        hit.map(|i| self.cand[from + i].1)
+        // Stale entries: removed ops have no placement, and ops that
+        // reached `n` sit above the floor.
+        while let Some(&(_, op)) = self.cand.get(self.cand_cursor) {
+            let row =
+                self.g.placement(op).filter(|&m| self.pos.get(m).is_some_and(|mp| mp >= start));
+            if let Some(row) = row.filter(|_| !self.frozen(op)) {
+                let Some(blocked) = replay.then(|| self.sleeping(n, op, row)).flatten() else {
+                    return Some(op);
+                };
+                debug_assert_eq!(
+                    self.probe_hop(n, row, op).err(),
+                    Some(blocked),
+                    "replayed a sleeping verdict for {op} the probe disagrees with"
+                );
+                debug_assert!(!self.cfg.machine.exhausted(self.g, n), "replayed into a full node");
+                self.count_block(blocked);
+                mark(&mut self.res_skip, self.res_epoch, op);
+                self.stats.picks += 1;
+            }
+            self.cand_cursor += 1;
+        }
+        None
+    }
+
+    /// Move `op`'s index entry, after its hop, to its new place within
+    /// its equal-priority run (or drop it once `op` has left the rows
+    /// below region row `npos`).
+    fn reinsert_candidate(&mut self, op: OpId, npos: usize) {
+        let p = prio_of(&mut self.prio, self.ranks, self.g, op);
+        let lo = self.cand.partition_point(|&(q, _)| q < p);
+        let mut hi = self.cand.partition_point(|&(q, _)| q <= p);
+        if let Some(i) = self.cand[lo..hi].iter().position(|&(_, o)| o == op) {
+            self.cand.remove(lo + i);
+            hi -= 1;
+        }
+        let Some(key) = self.index_key(op, npos) else { return };
+        let at = (lo..hi)
+            .find(|&i| self.index_key(self.cand[i].1, npos).is_some_and(|k| k > key))
+            .unwrap_or(hi);
+        self.cand.insert(at, (p, op));
+    }
+
+    /// (region row, pre-order index in the row) of `op` when it sits
+    /// below region row `npos`: its place in the candidate index's order
+    /// among ops of equal priority.
+    fn index_key(&self, op: OpId, npos: usize) -> Option<(usize, usize)> {
+        let m = self.g.placement(op)?;
+        let row = self.pos.get(m).filter(|&r| r > npos)?;
+        let idx = self.g.node_ops(m).iter().position(|&(_, o)| o == op)?;
+        Some((row, idx))
+    }
+
+    /// Debug builds: the patched index, stale entries dropped, must equal
+    /// a fresh full rebuild.
+    #[cfg(debug_assertions)]
+    fn assert_index_fresh(&mut self, npos: usize) {
+        let mut fresh = Vec::new();
+        candidate_order(self.g, self.ranks, &mut self.prio, &self.region[npos + 1..], &mut fresh);
+        let kept: Vec<_> =
+            self.cand.iter().copied().filter(|&(_, o)| self.index_key(o, npos).is_some()).collect();
+        assert_eq!(kept, fresh, "patched candidate index differs from a rebuild");
+    }
+
+    /// The sleeping verdict of `op`, sitting in `row`, for node `n`: its
+    /// first hop would be blocked again exactly as recorded, because
+    /// nothing the recorded probe read has changed. The same node and
+    /// edge version fix the target row and the region order. The target
+    /// row's contents decide the room check. For a latency block, the
+    /// op's own row (its operands) and every live row the walk read decide
+    /// the guard. Suspension rules 1 and 3 run before the room check, so
+    /// they are re-checked live.
+    fn sleeping(&self, n: NodeId, op: OpId, row: NodeId) -> Option<Blocked> {
+        let v = self.verdicts.get(op.index()).copied().flatten()?;
+        let unchanged = |m: NodeId| self.g.node_stamp(m) <= v.version;
+        let (target, shadow) = match v.blocked {
+            Blocked::NoRoom(target) => (target, 0),
+            Blocked::Latency(target, k) => (target, k),
+            _ => return None,
+        };
+        let asleep = v.node == n
+            && v.edges == self.g.edge_version()
+            && v.row == row
+            && unchanged(target)
+            && (shadow == 0 || unchanged(row))
+            && self.rows_above(target).take(shadow).all(|m| !self.g.node_exists(m) || unchanged(m))
+            && !self.pinned_by_suspension(op, row)
+            && !self.lands_above_suspension(target);
+        asleep.then_some(v.blocked)
+    }
+
+    /// Count a room or latency block, for a probe or a replayed verdict.
+    fn count_block(&mut self, blocked: Blocked) {
+        self.stats.resource_blocks += 1;
+        if let Blocked::Latency(..) = blocked {
+            self.stats.latency_blocks += 1;
+        }
     }
 
     /// Is `op` frozen for the node being scheduled: dependence- or
@@ -666,86 +891,52 @@ impl<'g, 'a> Grip<'g, 'a> {
     /// 12). Each hop re-checks resources, legality, and — when enabled —
     /// the Gapless-move test.
     ///
-    /// Timing wrapper: the whole call is `legality` self time, minus the
-    /// apply sections [`Grip::hop`] attributes to `commit` — so the probe
-    /// chain (parent search, room checks, latency guard, gapless test,
-    /// plan dry runs) is measured separately from committed mutation.
+    /// Timing wrapper: on one call in `PHASE_SAMPLE`, the call's self time
+    /// minus the apply sections [`Grip::hop`] attributes to `commit` is
+    /// charged `PHASE_SAMPLE` times to `legality` — so the probe chain
+    /// (parent search, room checks, latency guard, gapless test, plan dry
+    /// runs) is measured separately from committed mutation.
     fn migrate(&mut self, n: NodeId, op: OpId) -> Migrated {
-        let t0 = Instant::now();
+        let Some(t0) = self.migrate_clock.start() else {
+            return self.migrate_inner(n, op);
+        };
         let commit_before = self.phases.commit_ns;
         let out = self.migrate_inner(n, op);
-        let elapsed = t0.elapsed().as_nanos() as u64;
         let committed = self.phases.commit_ns - commit_before;
-        self.phases.legality_ns += elapsed.saturating_sub(committed);
+        self.phases.legality_ns += self.migrate_clock.charge(t0, committed);
         out
     }
 
     fn migrate_inner(&mut self, n: NodeId, op: OpId) -> Migrated {
         let mut progressed = false;
         loop {
+            let stuck =
+                |reason| if progressed { Migrated::Partial } else { Migrated::Stuck(reason) };
             let Some(cur) = self.g.placement(op) else {
-                return if progressed {
-                    Migrated::Partial
-                } else {
-                    Migrated::Stuck(StuckReason::NoPath)
-                };
+                return stuck(Blocked::NoPath);
             };
             if cur == n {
                 return Migrated::Arrived;
             }
-            // No op leaves a node that holds a suspended op (nothing may
-            // pass a suspended operation).
-            if self.cfg.gap_prevention
-                && self.suspended.iter().any(|&s| s != op && self.g.placement(s) == Some(cur))
-            {
-                return if progressed {
-                    Migrated::Partial
-                } else {
-                    Migrated::Stuck(StuckReason::Dependence)
-                };
-            }
-            let Some((parent, path)) = self.parent_toward(n, cur) else {
-                return if progressed {
-                    Migrated::Partial
-                } else {
-                    Migrated::Stuck(StuckReason::NoPath)
-                };
-            };
-            // Rule 3: never land above the deepest suspended op.
-            if self.cfg.gap_prevention && !self.suspended.is_empty() {
-                let deepest = self
-                    .suspended
-                    .iter()
-                    .filter_map(|&o| self.g.placement(o))
-                    .filter_map(|m| self.pos.get(m))
-                    .max();
-                if let Some(dp) = deepest {
-                    if self.pos.get(parent).unwrap_or(usize::MAX) < dp {
-                        return if progressed {
-                            Migrated::Partial
-                        } else {
-                            Migrated::Stuck(StuckReason::Dependence)
-                        };
+            let (parent, path) = match self.probe_hop(n, cur, op) {
+                Ok(hop) => hop,
+                Err(blocked @ (Blocked::NoRoom(_) | Blocked::Latency(..))) => {
+                    self.count_block(blocked);
+                    if !progressed {
+                        // The op will be picked again: let the scan replay
+                        // this verdict while nothing it read has changed.
+                        let (edges, version) = (self.g.edge_version(), self.g.version());
+                        let i = op.index();
+                        if i >= self.verdicts.len() {
+                            self.verdicts.resize(i + 1, None);
+                        }
+                        self.verdicts[i] =
+                            Some(Verdict { node: n, edges, row: cur, version, blocked });
                     }
+                    return stuck(blocked);
                 }
-            }
-            if !self.cfg.machine.has_room(self.g, parent, op) {
-                self.stats.resource_blocks += 1;
-                return if progressed {
-                    Migrated::Partial
-                } else {
-                    Migrated::Stuck(StuckReason::Resources)
-                };
-            }
-            if self.latency_blocked(parent, op) {
-                self.stats.latency_blocks += 1;
-                self.stats.resource_blocks += 1;
-                return if progressed {
-                    Migrated::Partial
-                } else {
-                    Migrated::Stuck(StuckReason::Resources)
-                };
-            }
+                Err(blocked) => return stuck(blocked),
+            };
             if self.cfg.gap_prevention && !self.gapless_move(cur, parent, op) {
                 self.stats.gap_rejections += 1;
                 self.stats.suspensions += 1;
@@ -776,15 +967,59 @@ impl<'g, 'a> Grip<'g, 'a> {
                         return Migrated::YieldAfterMove;
                     }
                 }
-                Err(_) => {
-                    return if progressed {
-                        Migrated::Partial
-                    } else {
-                        Migrated::Stuck(StuckReason::Dependence)
-                    };
-                }
+                Err(_) => return stuck(Blocked::Illegal),
             }
         }
+    }
+
+    /// The checks before `op`'s next hop from `cur` toward `n`, in
+    /// `migrate`'s order: suspension rule 1, the parent search, rule 3,
+    /// room in the target row, and the latency guard. `Ok` carries the
+    /// target row and the leaf path into `cur`.
+    fn probe_hop(
+        &mut self,
+        n: NodeId,
+        cur: NodeId,
+        op: OpId,
+    ) -> Result<(NodeId, TreePath), Blocked> {
+        if self.pinned_by_suspension(op, cur) {
+            return Err(Blocked::Suspension);
+        }
+        let (parent, path) = self.parent_toward(n, cur).ok_or(Blocked::NoPath)?;
+        if self.lands_above_suspension(parent) {
+            return Err(Blocked::Suspension);
+        }
+        if !self.cfg.machine.has_room(self.g, parent, op) {
+            return Err(Blocked::NoRoom(parent));
+        }
+        if let Some(k) = self.latency_blocked(parent, op) {
+            return Err(Blocked::Latency(parent, k));
+        }
+        Ok((parent, path))
+    }
+
+    /// Region index of the deepest row holding a suspended op.
+    fn deepest_suspended(&self) -> Option<usize> {
+        self.suspended
+            .iter()
+            .filter_map(|&o| self.g.placement(o))
+            .filter_map(|m| self.pos.get(m))
+            .max()
+    }
+
+    /// Suspension rule 1: no op leaves a row that holds another suspended
+    /// op (nothing may pass a suspended operation).
+    fn pinned_by_suspension(&self, op: OpId, cur: NodeId) -> bool {
+        self.cfg.gap_prevention
+            && self.suspended.iter().any(|&s| s != op && self.g.placement(s) == Some(cur))
+    }
+
+    /// Suspension rule 3: never land above the deepest suspended op.
+    fn lands_above_suspension(&self, target: NodeId) -> bool {
+        self.cfg.gap_prevention
+            && self
+                .deepest_suspended()
+                .is_some_and(|dp| self.pos.get(target).unwrap_or(usize::MAX) < dp)
     }
 
     /// Execute one legality-checked hop `cur -> parent`.
@@ -809,6 +1044,7 @@ impl<'g, 'a> Grip<'g, 'a> {
             for r in [out.true_residue, out.false_residue] {
                 self.try_delete(r);
             }
+            self.cand_reorder = Reorder::Rebuild;
             self.phases.commit_ns += commit_t0.elapsed().as_nanos() as u64;
         } else {
             let plan = plan_move_op(self.g, self.ctx, cur, parent, op, path, None)?;
@@ -845,6 +1081,13 @@ impl<'g, 'a> Grip<'g, 'a> {
                 self.stats.splits += 1;
             }
             self.try_delete(cur);
+            // Only `op`'s own entry is out of place (a rename copy or a
+            // split clone grows the op table, which forces a rebuild).
+            self.cand_reorder = match self.cand_reorder {
+                Reorder::Kept => Reorder::Moved(op),
+                Reorder::Moved(o) if o == op => Reorder::Moved(op),
+                _ => Reorder::Rebuild,
+            };
             self.phases.commit_ns += commit_t0.elapsed().as_nanos() as u64;
         }
         self.stats.hops += 1;
@@ -862,7 +1105,9 @@ impl<'g, 'a> Grip<'g, 'a> {
     }
 
     /// Would landing `op` in `row` place it closer to a multi-cycle
-    /// producer of one of its sources than that producer's latency?
+    /// producer of one of its sources than that producer's latency? When
+    /// it would, returns how many rows of [`Grip::rows_above`] the walk
+    /// read, the producer's row last.
     ///
     /// Upward motion only ever *shrinks* the distance to producers (they
     /// sit above) and grows the distance to consumers, so checking the
@@ -876,26 +1121,24 @@ impl<'g, 'a> Grip<'g, 'a> {
     /// unit-latency model pays nothing. The guard remains best-effort
     /// (back-edge distances are out of scope); the hazard-resolution
     /// post-pass upgrades the residue to a hard stall-free invariant.
-    fn latency_blocked(&self, row: NodeId, op: OpId) -> bool {
+    fn latency_blocked(&self, row: NodeId, op: OpId) -> Option<usize> {
         let desc = &self.cfg.machine;
         let lmax = desc.max_latency() as usize;
-        if lmax <= 1 {
-            return false;
+        if lmax <= 1 || !self.pos.contains(row) {
+            return None;
         }
-        let Some(ridx) = self.pos.get(row) else { return false };
         let mut unresolved: Vec<grip_ir::RegId> = self.g.op(op).reads().collect();
         if unresolved.is_empty() {
-            return false;
+            return None;
         }
         let mut d = 0usize; // live-instruction distance walked so far
-        let region_above = self.region[..ridx].iter().rev();
-        for &above in region_above.chain(self.above_region.iter()) {
+        for (read, above) in self.rows_above(row).enumerate() {
             if !self.g.node_exists(above) {
                 continue;
             }
             d += 1;
             if d >= lmax {
-                return false; // every remaining producer has retired
+                return None; // every remaining producer has retired
             }
             for &(_, w) in self.g.node_ops(above) {
                 let wo = self.g.op(w);
@@ -903,14 +1146,22 @@ impl<'g, 'a> Grip<'g, 'a> {
                 let before = unresolved.len();
                 unresolved.retain(|&r| r != dst);
                 if unresolved.len() != before && desc.latency_of(wo.kind) as usize > d {
-                    return true;
+                    return Some(read + 1);
                 }
             }
             if unresolved.is_empty() {
-                return false;
+                return None;
             }
         }
-        false
+        None
+    }
+
+    /// The rows above region row `row`, nearest first: the region rows
+    /// before it, then the sequential chain above the region top. Deleted
+    /// region slots are included; callers skip them.
+    fn rows_above(&self, row: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let ridx = self.pos.get(row).unwrap_or(0);
+        self.region[..ridx].iter().rev().chain(self.above_region.iter()).copied()
     }
 
     // ------------------------------------------------------------------
@@ -1206,12 +1457,7 @@ fn is_marked(set: &[u64], epoch: u64, op: OpId) -> bool {
 /// Memoized [`RankTable::priority`]: an op's rank inputs are fixed at its
 /// creation (the chain metrics are prebuilt, `orig`/`iter` never change on
 /// a placed op), so each op pays the table lookup exactly once per run.
-fn prio_of(
-    cache: &mut Vec<Option<grip_analysis::Priority>>,
-    ranks: &RankTable,
-    g: &Graph,
-    op: OpId,
-) -> grip_analysis::Priority {
+fn prio_of(cache: &mut Vec<Option<Priority>>, ranks: &RankTable, g: &Graph, op: OpId) -> Priority {
     let i = op.index();
     if i >= cache.len() {
         cache.resize(i + 1, None);
@@ -1222,6 +1468,28 @@ fn prio_of(
     let p = ranks.priority(g, op);
     cache[i] = Some(p);
     p
+}
+
+/// Every op placed in `rows`, in candidate-index order: the row-major
+/// scan (rows in region order, ops in pre-order), stably sorted by
+/// priority.
+fn candidate_order(
+    g: &Graph,
+    ranks: &RankTable,
+    prio: &mut Vec<Option<Priority>>,
+    rows: &[NodeId],
+    out: &mut Vec<(Priority, OpId)>,
+) {
+    out.clear();
+    for &m in rows {
+        if !g.node_exists(m) {
+            continue;
+        }
+        for &(_, op) in g.node_ops(m) {
+            out.push((prio_of(prio, ranks, g, op), op));
+        }
+    }
+    out.sort_by_key(|&(p, _)| p);
 }
 
 /// Fold one run's [`ScheduleStats`] into the process-wide metrics

@@ -49,7 +49,7 @@ use crate::types::{
 use grip_core::ScheduleStats;
 use grip_json::Json;
 use grip_machine::LatencyTable;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 
@@ -57,6 +57,12 @@ use std::sync::{mpsc, Arc};
 /// line server allows before the reader blocks — bounds memory while
 /// keeping every shard busy under a flood.
 const PIPELINE_WINDOW: usize = 128;
+
+/// Longest request line [`serve_lines`] accepts, in bytes (the newline
+/// excluded): far above any real request, small enough that one line
+/// cannot exhaust memory. A longer line gets one error, and the rest of
+/// it is read and dropped.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 // ---- requests ----
 
@@ -285,23 +291,7 @@ pub fn request_from_json(j: &Json) -> Result<ScheduleRequest, String> {
 // ---- responses ----
 
 fn stats_to_json(s: &ScheduleStats) -> Json {
-    Json::obj()
-        .field("hops", s.hops)
-        .field("arrivals", s.arrivals)
-        .field("renames", s.renames)
-        .field("splits", s.splits)
-        .field("suspensions", s.suspensions)
-        .field("gap_rejections", s.gap_rejections)
-        .field("resource_blocks", s.resource_blocks)
-        .field("latency_blocks", s.latency_blocks)
-        .field("dce_removed", s.dce_removed)
-        .field("nodes_deleted", s.nodes_deleted)
-        .field("deletions_blocked", s.deletions_blocked)
-        .field("picks", s.picks)
-        .field("speculation_vetoes", s.speculation_vetoes)
-        .field("hazard_delay_rows", s.hazard_delay_rows)
-        .field("hazard_backfills", s.hazard_backfills)
-        .field("hazard_reclaimed_rows", s.hazard_reclaimed_rows)
+    s.named().into_iter().fold(Json::obj(), |j, (name, v)| j.field(name, v))
 }
 
 fn stats_from_json(j: Option<&Json>) -> ScheduleStats {
@@ -480,12 +470,13 @@ enum Frame {
 /// accepting new requests — so lockstep request/response clients get
 /// their answer immediately, and floods still pipeline up to
 /// `PIPELINE_WINDOW` (128) requests across the shards. Malformed lines get an
-/// in-order `ok:false` line; `{"cmd":"stats"}` quiesces the pipeline and
+/// in-order `ok:false` line, and so do lines that are not UTF-8 or exceed
+/// `MAX_LINE_BYTES` (1 MiB); `{"cmd":"stats"}` quiesces the pipeline and
 /// answers with aggregate counters. A shard worker dying mid-request
 /// yields an in-band `ok:false` line for that request, not a dead server.
 pub fn serve_lines(
     service: &Service,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     mut writer: impl Write + Send,
 ) -> std::io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
@@ -524,9 +515,22 @@ pub fn serve_lines(
             writer.flush()
         });
 
-        for line in reader.lines() {
-            let line = line?;
-            let text = line.trim();
+        let mut line = Vec::new();
+        while let Some(fits) = read_line_capped(&mut reader, &mut line)? {
+            let text = match std::str::from_utf8(&line) {
+                Ok(text) if fits => text.trim(),
+                _ => {
+                    summary.rejected += 1;
+                    let error = if fits {
+                        "request line is not valid UTF-8".to_string()
+                    } else {
+                        format!("request line longer than {MAX_LINE_BYTES} bytes")
+                    };
+                    let out = Json::obj().field("ok", false).field("error", error);
+                    send(&frames, Frame::Line(out.line()));
+                    continue;
+                }
+            };
             if text.is_empty() {
                 continue;
             }
@@ -634,6 +638,33 @@ pub fn serve_lines(
         writer_thread.join().expect("writer thread panicked")?;
         Ok(summary)
     })
+}
+
+/// Read one line of `reader` into `buf`, without its newline. `None` at
+/// end of input; `Some(false)` when the line is longer than
+/// `MAX_LINE_BYTES`, in which case `buf` holds only its start and the rest
+/// of the line has been skipped.
+fn read_line_capped(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Option<bool>> {
+    buf.clear();
+    if reader.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_LINE_BYTES {
+        loop {
+            let chunk = reader.fill_buf()?;
+            let (used, done) = match chunk.iter().position(|&b| b == b'\n') {
+                Some(i) => (i + 1, true),
+                None => (chunk.len(), chunk.is_empty()),
+            };
+            reader.consume(used);
+            if done {
+                return Ok(Some(false));
+            }
+        }
+    }
+    Ok(Some(true))
 }
 
 /// Accept TCP connections forever, each served by [`serve_lines`] on its

@@ -181,10 +181,11 @@ fn grip_serve_answers_traces_timings_and_metrics() {
 /// recursive parser used to overflow its stack and abort the process),
 /// an inline machine with a 4096-cycle memory latency (used to hold its
 /// shard for longer than any client waits), one with no jump budget
-/// (used to be served with a template violation per iteration), and one
+/// (used to be served with a template violation per iteration), one
 /// with a misspelled slot key (used to be served on an uncapped memory
-/// port). Each gets exactly one error response, in order, and the valid
-/// line after each is served.
+/// port), a line with an invalid UTF-8 byte (used to end the session
+/// unanswered), and a 2 MiB line. Each gets exactly one error response,
+/// in order, and the valid line after each is served.
 #[test]
 fn grip_serve_refuses_hostile_lines_and_keeps_serving() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_grip-serve"))
@@ -197,12 +198,13 @@ fn grip_serve_refuses_hostile_lines_and_keeps_serving() {
 
     let mut stdin = child.stdin.take().expect("stdin");
     let inline = |id: u64, machine: &str| {
-        format!("{{\"id\":{id},\"kernel\":\"LL1\",\"n\":16,\"machine\":{machine}}}")
+        format!("{{\"id\":{id},\"kernel\":\"LL1\",\"n\":16,\"machine\":{machine}}}").into_bytes()
     };
     // Each hostile line is followed by a valid one: (line, expected error).
-    let script = [
-        ("[".repeat(100_000), Some("nesting")),
-        (r#"{"id":1,"kernel":"LL12","n":12,"machine":"uniform4"}"#.to_string(), None),
+    // A line's answer carries its index as `id` whenever the line parses.
+    let script: Vec<(Vec<u8>, Option<&str>)> = vec![
+        ("[".repeat(100_000).into_bytes(), Some("nesting")),
+        (br#"{"id":1,"kernel":"LL12","n":12,"machine":"uniform4"}"#.to_vec(), None),
         (inline(2, r#"{"width":4,"latency":{"mem":4096}}"#), Some("latency of 4096 cycles")),
         (inline(3, r#"{"width":4,"latency":{"mem":4}}"#), None),
         (inline(4, r#"{"width":4,"cjs":0}"#), Some("class BR has zero slots")),
@@ -212,9 +214,14 @@ fn grip_serve_refuses_hostile_lines_and_keeps_serving() {
             Some(r#"unknown machine.slots key "memory""#),
         ),
         (inline(7, r#"{"width":8,"slots":{"mem":1},"latency":{"mem":3}}"#), None),
+        (b"{\"id\":8,\"kernel\":\"LL\xff\"}".to_vec(), Some("not valid UTF-8")),
+        (br#"{"id":9,"kernel":"LL12","n":12,"machine":"uniform4"}"#.to_vec(), None),
+        (b"x".repeat(2 << 20), Some("longer than 1048576 bytes")),
+        (br#"{"id":11,"kernel":"LL12","n":12,"machine":"uniform4"}"#.to_vec(), None),
     ];
     for (line, _) in &script {
-        writeln!(stdin, "{line}").expect("write request line");
+        stdin.write_all(line).expect("write request line");
+        stdin.write_all(b"\n").expect("write newline");
     }
     drop(stdin);
 
@@ -231,10 +238,10 @@ fn grip_serve_refuses_hostile_lines_and_keeps_serving() {
 
     let ok = |j: &Json| j.get("ok").and_then(Json::as_bool);
     let error = |j: &Json| j.get("error").and_then(Json::as_str).unwrap_or("").to_string();
-    for (i, (line, (_, expect))) in lines.iter().zip(&script).enumerate() {
-        if i > 0 {
-            assert_eq!(line.get("id").and_then(Json::as_i64), Some(i as i64));
-        }
+    for (i, (line, (sent, expect))) in lines.iter().zip(&script).enumerate() {
+        let parses = std::str::from_utf8(sent).ok().and_then(|t| Json::parse(t).ok()).is_some();
+        let id = line.get("id").and_then(Json::as_i64);
+        assert_eq!(id, parses.then_some(i as i64), "line {i}: id");
         match expect {
             Some(e) => {
                 assert_eq!(ok(line), Some(false), "line {i}");

@@ -9,10 +9,11 @@
 //! digest is unchanged — any drift in candidate order, renaming, landing
 //! rows, or residue fails loudly.
 //!
-//! Every cell, waived or not, also pins the scheduler's pick count
-//! (`stats.picks`). Digests alone can miss a pick-loop change that picks
-//! differently but happens to land on the same schedule; the count
-//! catches it.
+//! Every cell, waived or not, also pins every scheduler counter of
+//! `ScheduleStats` (`picks`, `resource_blocks`, `latency_blocks`, …),
+//! the `stats` object each wire response carries. Digests alone can miss
+//! a pick-loop change that picks or blocks differently but happens to
+//! land on the same schedule; the counters catch it.
 //!
 //! Cells listed in [`WAIVED`] are *deliberately* shifted (the multi-hop
 //! hazard backfill pulls ready ops past full intermediate rows on
@@ -55,14 +56,11 @@ fn schedules_match_pinned_goldens() {
     let src = include_str!("golden_schedules.json");
     let doc = Json::parse(src).expect("golden json parses");
     let n = doc.get("trip_count").and_then(Json::as_i64).expect("trip_count");
-    let mut pinned: HashMap<(String, String), (String, i64, i64, i64)> = HashMap::new();
+    let mut pinned: HashMap<(String, String), (String, i64, i64, &Json)> = HashMap::new();
     for c in doc.get("cells").and_then(Json::as_arr).expect("cells") {
         let s = |k: &str| c.get(k).and_then(Json::as_str).unwrap_or("").to_string();
         let i = |k: &str| c.get(k).and_then(Json::as_i64).expect("pinned integer field");
-        pinned.insert(
-            (s("machine"), s("kernel")),
-            (s("digest"), i("rows"), i("sched_cycles"), i("picks")),
-        );
+        pinned.insert((s("machine"), s("kernel")), (s("digest"), i("rows"), i("sched_cycles"), c));
     }
     assert_eq!(pinned.len(), 84, "the pinned grid covers 6 presets x 14 kernels");
 
@@ -82,13 +80,16 @@ fn schedules_match_pinned_goldens() {
     let mut checked = 0;
     for cell in &cells {
         let key = (cell.machine.clone(), cell.kernel.clone());
-        let (digest, rows, cycles, picks) = pinned
+        let (digest, rows, cycles, pinned_cell) = pinned
             .get(&key)
             .unwrap_or_else(|| {
                 panic!("{}/{}: cell not pinned — recapture the goldens", key.0, key.1)
             })
             .clone();
-        assert_eq!(cell.picks as i64, picks, "{}/{}: pick count drifted", key.0, key.1);
+        for (name, v) in cell.stats.named() {
+            let want = pinned_cell.get(name).and_then(Json::as_i64);
+            assert_eq!(Some(v as i64), want, "{}/{}: counter {name} drifted", key.0, key.1);
+        }
         if WAIVED.contains(&(cell.machine.as_str(), cell.kernel.as_str())) {
             assert!(
                 cell.sched_cycles as i64 <= cycles,
