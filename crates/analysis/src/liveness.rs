@@ -10,7 +10,6 @@
 use crate::bitset::BitSet;
 use crate::order::reverse_postorder;
 use grip_ir::{Graph, NodeId, OpId, RegId};
-use std::collections::HashMap;
 
 /// Reusable per-node dataflow summaries (entry uses and must-defs), keyed
 /// by [`Graph::node_stamp`] so only nodes edited since the previous
@@ -143,15 +142,9 @@ impl Liveness {
     }
 
     /// Grow-only update: record that `r` is (possibly) live at entry of `n`
-    /// and propagate upward through predecessors until a node must-defines
-    /// `r` or already has it. `preds` is the current predecessor map.
-    pub fn add_live_at(
-        &mut self,
-        g: &Graph,
-        preds: &HashMap<NodeId, Vec<NodeId>>,
-        n: NodeId,
-        r: RegId,
-    ) {
+    /// and propagate upward through [`Graph::preds`] until a node
+    /// must-defines `r` or already has it.
+    pub fn add_live_at(&mut self, g: &Graph, n: NodeId, r: RegId) {
         self.grow_regs(g.reg_count());
         let mut stack = vec![n];
         while let Some(m) = stack.pop() {
@@ -161,7 +154,7 @@ impl Liveness {
             if !entry.insert(r.index()) {
                 continue; // already known live here
             }
-            for &p in preds.get(&m).map(|v| v.as_slice()).unwrap_or(&[]) {
+            for &p in g.preds(m) {
                 if !must_defs_of(g, p).contains(&r) {
                     stack.push(p);
                 }
@@ -391,9 +384,8 @@ mod tests {
         let li = g.loop_info.unwrap();
         let mut g2 = g.clone();
         let fresh = g2.fresh_reg();
-        let preds = g2.predecessors();
         assert!(!lv.is_live_in(li.latch, fresh));
-        lv.add_live_at(&g2, &preds, li.latch, fresh);
+        lv.add_live_at(&g2, li.latch, fresh);
         assert!(lv.is_live_in(li.latch, fresh));
         // propagated through the body up to the head (no must-defs of fresh)
         assert!(lv.is_live_in(li.head, fresh));

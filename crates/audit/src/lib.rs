@@ -71,21 +71,15 @@ impl<'a> Ctx<'a> {
         let placed = nodes.iter().map(|&n| g.node_ops(n).to_vec()).collect();
         let leaves = nodes.iter().map(|&n| g.node(n).tree.leaves()).collect();
         let mut preds: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        for (n, list) in g.predecessors() {
-            if !row.contains_key(&n) {
-                continue;
+        for &n in &nodes {
+            let mut list: Vec<NodeId> =
+                g.preds(n).iter().copied().filter(|p| row.contains_key(p)).collect();
+            if !list.is_empty() {
+                // Row order gives a deterministic fixpoint visit order (and
+                // therefore deterministic diagnostics).
+                list.sort_by_key(|p| row[p]);
+                preds.insert(n, list);
             }
-            for p in list {
-                if row.contains_key(&p) {
-                    preds.entry(n).or_default().push(p);
-                }
-            }
-        }
-        // `predecessors()` iterates a HashMap; sort for a deterministic
-        // fixpoint visit order (and therefore deterministic diagnostics).
-        for list in preds.values_mut() {
-            list.sort_by_key(|n| row[n]);
-            list.dedup();
         }
         Ctx { g, desc, nodes, row, placed, leaves, preds }
     }

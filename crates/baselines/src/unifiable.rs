@@ -77,7 +77,7 @@ impl<'g, 'a> UnifiableSched<'g, 'a> {
             let n = self.region[j];
             if self.g.node_exists(n)
                 && self.g.node(n).tree.is_empty()
-                && grip_percolate::try_delete_empty(self.g, self.ctx, n)
+                && grip_percolate::try_delete_empty(self.g, n)
             {
                 self.region.remove(j);
                 self.reindex();
@@ -279,7 +279,7 @@ impl<'g, 'a> UnifiableSched<'g, 'a> {
             self.stats.hops += 1;
             // Keep the region in sync with structural edits.
             if self.g.node_exists(cur) && self.g.node(cur).tree.is_empty() {
-                let _ = grip_percolate::try_delete_empty(self.g, self.ctx, cur);
+                let _ = grip_percolate::try_delete_empty(self.g, cur);
                 if !self.g.node_exists(cur) {
                     self.region.retain(|&m| m != cur);
                     self.reindex();

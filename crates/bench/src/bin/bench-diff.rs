@@ -215,9 +215,9 @@ fn diff_machines(base_path: &str, base_doc: &Json, cand_path: &str, cand_doc: &J
             println!("note: {}/{} is new in the candidate (no baseline)", k.0, k.1);
         }
     }
-    // The walls depend on the host's core count and on a serial or
-    // parallel sweep: say when the two sweeps differ in either.
-    for key in ["nproc", "seq"] {
+    // The walls depend on the host's core count, on a serial or parallel
+    // sweep and on the compiler: say when the two sweeps differ in any.
+    for key in ["nproc", "seq", "rustc"] {
         let (b, c) = (base_doc.get(key), cand_doc.get(key));
         if b != c {
             let show = |v: Option<&Json>| v.map_or("absent".to_string(), Json::line);

@@ -249,9 +249,22 @@ pub fn remeasure_unaccounted(cells: &mut [MachineCell], n: i64, min_cover: f64) 
     redone
 }
 
+/// The `rustc --version` line of the `rustc` on `PATH`, or `unknown`.
+fn rustc_version() -> String {
+    std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|line| line.trim().to_string())
+        .filter(|line| !line.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// The whole sweep as one JSON document. It records the host's core
-/// count (`nproc`) and whether the sweep ran serially (`seq`), because
-/// the per-cell walls depend on both.
+/// count (`nproc`), whether the sweep ran serially (`seq`) and the
+/// compiler (`rustc`), because the per-cell walls depend on all three.
 pub fn machines_json(n: i64, cells: &[MachineCell], serial: bool) -> Json {
     let nproc = std::thread::available_parallelism().map_or(0, |p| p.get());
     Json::obj()
@@ -259,6 +272,7 @@ pub fn machines_json(n: i64, cells: &[MachineCell], serial: bool) -> Json {
         .field("trip_count", n)
         .field("nproc", nproc)
         .field("seq", serial)
+        .field("rustc", rustc_version())
         .field(
             "machines",
             MachineDesc::presets()

@@ -189,8 +189,9 @@ pub enum TraceEvent {
 ///   guard, gapless-move test, and the `plan_move_*` dry runs;
 /// * `commit` — applying planned moves (`apply_move_*`, region splices,
 ///   empty-row deletes) inside `Grip::hop`;
-/// * `dead_sweep` — incremental dead-op sweeping and the DCE / empty-row
-///   passes between nodes.
+/// * `dead_sweep` — the per-epoch dead-op sweep, which re-checks only ops
+///   whose rows changed since they were last found alive, and the DCE /
+///   empty-row passes between nodes.
 ///
 /// `cand_refresh` and `legality` are sampled: `Grip::pick_candidate` and
 /// `Grip::migrate` each read the clock on one call in 64 and charge that
@@ -465,6 +466,9 @@ pub struct Grip<'g, 'a> {
     /// Lowest region index the dead-op sweep has covered this epoch (a
     /// falling suspension floor re-exposes rows that must be re-swept).
     dead_start: usize,
+    /// Per op: the [`Graph::version`] at which a dead-op check last found
+    /// it alive (see [`Grip::sweep_dead`]).
+    alive_at: Vec<u64>,
     stats: ScheduleStats,
     phases: PhaseTimes,
     trace: Vec<TraceEvent>,
@@ -513,6 +517,7 @@ impl<'g, 'a> Grip<'g, 'a> {
             pick_clock: SampledClock::new(),
             migrate_clock: SampledClock::new(),
             dead_start: usize::MAX,
+            alive_at: Vec::new(),
             stats: ScheduleStats::default(),
             phases: PhaseTimes::default(),
             trace: Vec::new(),
@@ -530,17 +535,16 @@ impl<'g, 'a> Grip<'g, 'a> {
         if depth == 0 {
             return Vec::new();
         }
-        let preds = g.predecessors();
         let mut chain = Vec::with_capacity(depth);
         let mut cur = top;
         let mut seen: HashSet<NodeId> = HashSet::new();
         while chain.len() < depth {
-            let above: Vec<NodeId> = preds
-                .get(&cur)
-                .map(|ps| {
-                    ps.iter().copied().filter(|&p| !pos.contains(p) && !seen.contains(&p)).collect()
-                })
-                .unwrap_or_default();
+            let above: Vec<NodeId> = g
+                .preds(cur)
+                .iter()
+                .copied()
+                .filter(|&p| !pos.contains(p) && !seen.contains(&p))
+                .collect();
             let [only] = above[..] else { break };
             seen.insert(only);
             chain.push(only);
@@ -851,6 +855,15 @@ impl<'g, 'a> Grip<'g, 'a> {
     /// the incremental-DCE half of the old candidate rescan. Skips marked
     /// and suspended ops exactly as the rescan did (they were never
     /// dead-checked while frozen).
+    ///
+    /// An op found alive at [`Graph::version`] `v` is not checked again
+    /// while its row's [`Graph::node_stamp`] is at most `v`. That is exact:
+    /// between liveness refreshes liveness only grows (`add_live_at`, and
+    /// `adopt` on new rows), so a live op can die only when its row's tree
+    /// or successors change or the op itself is rewritten, and each of
+    /// those stamps the row. Liveness is refreshed only between nodes, by
+    /// [`Grip::dce_sweep`], whose last pass checks every region op. Debug
+    /// builds re-run the full scan and compare.
     fn sweep_dead(&mut self, start: usize, end: usize) {
         if !self.cfg.dce {
             return;
@@ -861,30 +874,62 @@ impl<'g, 'a> Grip<'g, 'a> {
     }
 
     fn sweep_dead_inner(&mut self, start: usize, end: usize) {
+        let version = self.g.version();
+        self.alive_at.resize(self.alive_at.len().max(self.g.op_table_len()), 0);
         let mut dead: Vec<(NodeId, OpId)> = Vec::new();
         for idx in start..end.min(self.region.len()) {
             let m = self.region[idx];
             if !self.g.node_exists(m) {
                 continue;
             }
+            let stamp = self.g.node_stamp(m);
             for &(_, op) in self.g.node_ops(m) {
-                if self.frozen(op) {
+                if self.alive_at[op.index()] >= stamp || self.frozen(op) {
                     continue;
                 }
-                let o = self.g.op(op);
-                if o.dest.is_some()
-                    && !o.kind.is_cj()
-                    && self.ctx.lv.dest_is_dead(self.g, m, op, o.dest.expect("checked"))
-                {
+                if self.is_dead(m, op) {
                     dead.push((m, op));
+                } else {
+                    self.alive_at[op.index()] = version;
                 }
             }
         }
+        #[cfg(debug_assertions)]
+        assert_eq!(dead, self.full_dead_scan(start, end), "the dead sweep skipped a dead op");
         for (m, op) in dead {
             if self.g.node_exists(m) && remove_if_dead(self.g, self.ctx, m, op) {
                 self.stats.dce_removed += 1;
             }
         }
+    }
+
+    /// Is `op`, placed in row `m`, a pure def whose result no path reads?
+    fn is_dead(&self, m: NodeId, op: OpId) -> bool {
+        let o = self.g.op(op);
+        match o.dest {
+            Some(d) if !o.kind.is_cj() => self.ctx.lv.dest_is_dead(self.g, m, op, d),
+            _ => false,
+        }
+    }
+
+    /// Debug builds: the dead ops of region rows `start..end` by a check of
+    /// every op that is not frozen, as the sweep ran before it kept
+    /// `alive_at`.
+    #[cfg(debug_assertions)]
+    fn full_dead_scan(&self, start: usize, end: usize) -> Vec<(NodeId, OpId)> {
+        let mut dead = Vec::new();
+        for idx in start..end.min(self.region.len()) {
+            let m = self.region[idx];
+            if !self.g.node_exists(m) {
+                continue;
+            }
+            for &(_, op) in self.g.node_ops(m) {
+                if !self.frozen(op) && self.is_dead(m, op) {
+                    dead.push((m, op));
+                }
+            }
+        }
+        dead
     }
 
     /// Migrate `op` toward `n` one instruction at a time (`migrate`, Figure
@@ -1364,7 +1409,7 @@ impl<'g, 'a> Grip<'g, 'a> {
         if desc.max_latency() <= 1 {
             return true;
         }
-        let safe = !crate::hazards::delete_would_create_hazard(self.g, &self.ctx.preds, desc, n);
+        let safe = !crate::hazards::delete_would_create_hazard(self.g, desc, n);
         if !safe {
             self.stats.deletions_blocked += 1;
         }
@@ -1377,7 +1422,7 @@ impl<'g, 'a> Grip<'g, 'a> {
             && n != self.g.entry
             && self.pos.get(n).is_some_and(|p| p != 0)
             && self.deletion_is_hazard_safe(n)
-            && try_delete_empty(self.g, self.ctx, n)
+            && try_delete_empty(self.g, n)
         {
             self.stats.nodes_deleted += 1;
             self.remove_from_region(n);
@@ -1390,9 +1435,13 @@ impl<'g, 'a> Grip<'g, 'a> {
         self.phases.dead_sweep_ns += t0.elapsed().as_nanos() as u64;
     }
 
+    /// Copy propagation, then dead-op passes against refreshed liveness
+    /// until one removes nothing. That last pass checks every region op, so
+    /// it marks each survivor alive for [`Grip::sweep_dead`].
     fn dce_sweep_inner(&mut self) {
         self.stats.dce_removed += propagate_copies(self.g, self.ctx) as u64;
         self.ctx.refresh(self.g);
+        self.alive_at.resize(self.alive_at.len().max(self.g.op_table_len()), 0);
         loop {
             let mut removed = 0;
             for i in 0..self.region.len() {
@@ -1404,6 +1453,8 @@ impl<'g, 'a> Grip<'g, 'a> {
                 for op in ops {
                     if remove_if_dead(self.g, self.ctx, n, op) {
                         removed += 1;
+                    } else {
+                        self.alive_at[op.index()] = self.g.version();
                     }
                 }
             }
@@ -1429,7 +1480,7 @@ impl<'g, 'a> Grip<'g, 'a> {
                 && self.g.node(n).tree.is_empty()
                 && i != 0
                 && self.deletion_is_hazard_safe(n)
-                && try_delete_empty(self.g, self.ctx, n)
+                && try_delete_empty(self.g, n)
             {
                 self.stats.nodes_deleted += 1;
                 self.remove_from_region(n);

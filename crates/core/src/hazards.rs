@@ -299,12 +299,7 @@ pub fn pad_hazards(g: &mut Graph, desc: &MachineDesc) -> HazardStats {
 /// when `b <= L - a`. The scan is conservative (it ignores same-register
 /// shadowing across paths), so it can only refuse a deletion that was in
 /// fact safe — costing one empty row, never a stall.
-pub fn delete_would_create_hazard(
-    g: &Graph,
-    preds: &HashMap<NodeId, Vec<NodeId>>,
-    desc: &MachineDesc,
-    n: NodeId,
-) -> bool {
+pub fn delete_would_create_hazard(g: &Graph, desc: &MachineDesc, n: NodeId) -> bool {
     let lmax = desc.max_latency();
     if lmax <= 1 {
         return false;
@@ -312,7 +307,7 @@ pub fn delete_would_create_hazard(
     // Upward sweep: registers still in flight at n's entry, with the
     // worst-case residual countdown `L - a` over all producers and paths.
     let mut hot: Countdowns = HashMap::new();
-    let mut level: Vec<NodeId> = preds.get(&n).cloned().unwrap_or_default();
+    let mut level: Vec<NodeId> = g.preds(n).to_vec();
     let mut seen_up: HashSet<(NodeId, u32)> = HashSet::new();
     for a in 1..lmax {
         let mut next = Vec::new();
@@ -329,7 +324,7 @@ pub fn delete_would_create_hazard(
                     }
                 }
             }
-            next.extend(preds.get(&m).cloned().unwrap_or_default());
+            next.extend_from_slice(g.preds(m));
         }
         level = next;
         if level.is_empty() {
@@ -449,23 +444,11 @@ fn backfill(
             .copied()
             .filter(|&m| g.node_exists(m) && m != g.entry && g.node(m).tree.is_empty())
             .collect();
-        // Moves do not change edges (splits are excluded above), so the
-        // pass-level predecessor map stays valid until a deletion —
-        // which rewires edges and forces a recompute.
-        let mut preds_now = preds;
-        let mut preds_stale = false;
         let mut deleted_any = false;
         for m in empties {
-            if preds_stale {
-                preds_now = g.predecessors();
-                preds_stale = false;
-            }
-            if try_delete_empty_if(g, ctx, m, |g, m| {
-                !delete_would_create_hazard(g, &preds_now, desc, m)
-            }) {
+            if try_delete_empty_if(g, m, |g, m| !delete_would_create_hazard(g, desc, m)) {
                 region.retain(|&x| x != m);
                 stats.reclaimed_rows += 1;
-                preds_stale = true;
                 deleted_any = true;
                 changed = true;
             }
@@ -475,10 +458,11 @@ fn backfill(
         }
         if !changed {
             // One-step fixpoint: nothing moved or deleted this pass, so
-            // `preds_now` still matches the graph. Ready work deeper down
-            // may yet reach open slots past rows the adjacent sweep cannot
-            // land in (§3.2 resource barriers) — try multi-hop climbs.
-            changed = multihop_sweep(g, ctx, desc, region, &preds_now, stats);
+            // the pass-level `preds` still matches the graph. Ready work
+            // deeper down may yet reach open slots past rows the adjacent
+            // sweep cannot land in (§3.2 resource barriers) — try
+            // multi-hop climbs.
+            changed = multihop_sweep(g, ctx, desc, region, &preds, stats);
         }
         if !changed {
             break;
@@ -896,11 +880,10 @@ mod tests {
         g.validate().unwrap();
 
         let desc = mem3(4);
-        let preds = g.predecessors();
-        assert!(delete_would_create_hazard(&g, &preds, &desc, e));
-        assert!(delete_would_create_hazard(&g, &preds, &desc, d));
+        assert!(delete_would_create_hazard(&g, &desc, e));
+        assert!(delete_would_create_hazard(&g, &desc, d));
         // Under unit latencies the same deletions are free.
-        assert!(!delete_would_create_hazard(&g, &preds, &MachineDesc::uniform(4), e));
+        assert!(!delete_would_create_hazard(&g, &MachineDesc::uniform(4), e));
         // An unrelated consumer does not pin the row.
         let desc1 = mem3(4);
         let mut g2 = g.clone();
@@ -909,7 +892,6 @@ mod tests {
             g2.add_op(Operation::new(OpKind::Copy, Some(k), vec![Operand::Imm(Value::I(1))]));
         g2.remove_op_from(c, use_);
         g2.insert_op_at(c, TreePath::ROOT, indep);
-        let preds2 = g2.predecessors();
-        assert!(!delete_would_create_hazard(&g2, &preds2, &desc1, e));
+        assert!(!delete_would_create_hazard(&g2, &desc1, e));
     }
 }

@@ -81,6 +81,11 @@ impl NodeCache {
     }
 }
 
+/// The unique successors a (possibly absent) cache records.
+fn uniq_of(cache: &Option<NodeCache>) -> &[NodeId] {
+    cache.as_ref().map_or(&[], |c| c.uniq.as_slice())
+}
+
 /// A whole program: instruction nodes, an operation arena, register and
 /// array books, and the designated entry node.
 ///
@@ -92,6 +97,10 @@ pub struct Graph {
     ops: Vec<Operation>,
     nodes: Vec<Option<Instruction>>,
     caches: Vec<Option<NodeCache>>,
+    /// Per node: the existing nodes with an edge to it, sorted by id. Kept
+    /// in step with the successor caches by [`Graph::refresh_cache`],
+    /// [`Graph::add_node`] and [`Graph::delete_empty_node`].
+    preds: Vec<Vec<NodeId>>,
     version: u64,
     edge_version: u64,
     placed: Vec<Option<NodeId>>,
@@ -132,6 +141,7 @@ impl Graph {
             ops: Vec::new(),
             nodes: Vec::new(),
             caches: Vec::new(),
+            preds: Vec::new(),
             version: 0,
             edge_version: 0,
             placed: Vec::new(),
@@ -173,11 +183,42 @@ impl Graph {
         self.caches[n.index()].as_ref().expect("node deleted").stamp
     }
 
-    /// Rebuild the derived-data cache of `n` after a tree edit.
+    /// Rebuild the derived-data cache of `n` after a tree edit, moving `n`
+    /// between predecessor lists where its unique successors changed.
     fn refresh_cache(&mut self, n: NodeId) {
         self.version += 1;
-        self.caches[n.index()] =
-            self.nodes[n.index()].as_ref().map(|i| NodeCache::build(&i.tree, self.version));
+        let old = self.caches[n.index()].take();
+        let new = self.nodes[n.index()].as_ref().map(|i| NodeCache::build(&i.tree, self.version));
+        let (old_uniq, new_uniq) = (uniq_of(&old), uniq_of(&new));
+        if old_uniq != new_uniq {
+            for &s in old_uniq.iter().filter(|s| new_uniq.binary_search(s).is_err()) {
+                self.unlink(s, n);
+            }
+            for &s in new_uniq.iter().filter(|s| old_uniq.binary_search(s).is_err()) {
+                self.link(s, n);
+            }
+        }
+        self.caches[n.index()] = new;
+    }
+
+    /// Record the edge `p -> s` in `s`'s predecessor list.
+    fn link(&mut self, s: NodeId, p: NodeId) {
+        if self.preds.len() <= s.index() {
+            self.preds.resize_with(s.index() + 1, Vec::new);
+        }
+        let list = &mut self.preds[s.index()];
+        if let Err(at) = list.binary_search(&p) {
+            list.insert(at, p);
+        }
+    }
+
+    /// Drop `p` from `s`'s predecessor list.
+    fn unlink(&mut self, s: NodeId, p: NodeId) {
+        if let Some(list) = self.preds.get_mut(s.index()) {
+            if let Ok(at) = list.binary_search(&p) {
+                list.remove(at);
+            }
+        }
     }
 
     /// Exclusive upper bound on node indices ever allocated (deleted slots
@@ -301,7 +342,11 @@ impl Graph {
             debug_assert!(self.placed[op.index()].is_none(), "{op} already placed");
             self.placed[op.index()] = Some(id);
         }
-        self.caches.push(Some(NodeCache::build(&tree, self.version)));
+        let cache = NodeCache::build(&tree, self.version);
+        for &s in &cache.uniq {
+            self.link(s, id);
+        }
+        self.caches.push(Some(cache));
         self.nodes.push(Some(Instruction { tree }));
         id
     }
@@ -351,17 +396,12 @@ impl Graph {
         &self.cache(n).leaves
     }
 
-    /// Predecessor map for the whole graph (recomputed on demand; graphs in
-    /// this system are hundreds of nodes, and scheduling recomputes only at
-    /// well-defined points).
-    pub fn predecessors(&self) -> HashMap<NodeId, Vec<NodeId>> {
-        let mut preds: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        for n in self.node_ids() {
-            for &s in self.unique_successors(n) {
-                preds.entry(s).or_default().push(n);
-            }
-        }
-        preds
+    /// The existing nodes with an edge to `n`, sorted by id (each listed
+    /// once, however many of its leaves reach `n`). Every edge edit keeps
+    /// the lists current, so reading them costs nothing.
+    #[inline]
+    pub fn preds(&self, n: NodeId) -> &[NodeId] {
+        self.preds.get(n.index()).map_or(&[], Vec::as_slice)
     }
 
     // ------------------------------------------------------------------
@@ -499,6 +539,9 @@ impl Graph {
             if li.latch == n {
                 // The latch lost its cj before becoming empty; leave as-is.
             }
+        }
+        if let Some(s) = succ {
+            self.unlink(s, n);
         }
         self.nodes[n.index()] = None;
         self.caches[n.index()] = None;
@@ -668,6 +711,23 @@ impl Graph {
                 }
             }
         }
+        // Predecessor lists must match a rebuild from the successor caches.
+        let mut rebuilt: Vec<Vec<NodeId>> =
+            vec![Vec::new(); self.nodes.len().max(self.preds.len())];
+        for n in self.node_ids() {
+            for &s in self.unique_successors(n) {
+                rebuilt[s.index()].push(n);
+            }
+        }
+        for (i, want) in rebuilt.iter().enumerate() {
+            let n = NodeId::new(i);
+            if self.preds(n) != want.as_slice() {
+                return err(format!(
+                    "{n}: predecessor list {:?}, successors say {want:?}",
+                    self.preds(n)
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -780,9 +840,10 @@ mod tests {
             on_false: Box::new(Tree::leaf(Some(n3))),
         });
         g.set_succ(g.entry, TreePath::ROOT, Some(n1));
-        let preds = g.predecessors();
-        assert_eq!(preds[&n2], vec![n1]);
-        assert_eq!(preds[&n1], vec![g.entry]);
+        g.validate().unwrap();
+        assert_eq!(g.preds(n2), [n1]);
+        assert_eq!(g.preds(n1), [g.entry]);
+        assert_eq!(g.preds(g.entry), []);
         assert_eq!(g.node_cj_count(n1), 1);
         assert_eq!(g.node_op_count(n1), 0);
     }

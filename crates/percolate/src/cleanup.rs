@@ -186,8 +186,8 @@ pub fn propagate_copies(g: &mut Graph, ctx: &mut Ctx<'_>) -> usize {
 /// distance, and removing it can shrink an already-sufficient distance
 /// back below the producer's latency (the re-shrink bug). Latency-aware
 /// callers must use [`try_delete_empty_if`] with a hazard check instead.
-pub fn try_delete_empty(g: &mut Graph, ctx: &mut Ctx<'_>, n: NodeId) -> bool {
-    try_delete_empty_if(g, ctx, n, |_, _| true)
+pub fn try_delete_empty(g: &mut Graph, n: NodeId) -> bool {
+    try_delete_empty_if(g, n, |_, _| true)
 }
 
 /// [`try_delete_empty`] guarded by a caller-supplied safety predicate:
@@ -199,7 +199,6 @@ pub fn try_delete_empty(g: &mut Graph, ctx: &mut Ctx<'_>, n: NodeId) -> bool {
 /// schedules stall-free.
 pub fn try_delete_empty_if(
     g: &mut Graph,
-    ctx: &mut Ctx<'_>,
     n: NodeId,
     safe: impl FnOnce(&Graph, NodeId) -> bool,
 ) -> bool {
@@ -218,7 +217,6 @@ pub fn try_delete_empty_if(
         return false;
     }
     g.delete_empty_node(n);
-    ctx.refresh_preds(g);
     true
 }
 
@@ -281,7 +279,7 @@ mod tests {
             .filter(|&n| g.node(n).tree.is_empty() && n != g.entry)
             .collect();
         for n in empties {
-            assert!(try_delete_empty(&mut g, &mut ctx, n));
+            assert!(try_delete_empty(&mut g, n));
         }
         assert_eq!(g.reachable().len(), before - 1);
         g.validate().unwrap();

@@ -1,12 +1,11 @@
 //! Shared analysis state threaded through the core transformations.
 
 use grip_analysis::{Ddg, Liveness, LivenessCache};
-use grip_ir::{Graph, NodeId};
-use std::collections::HashMap;
+use grip_ir::Graph;
 
 /// Analysis context for a percolation session: the (immutable) memory
-/// dependence graph plus incrementally-maintained liveness and predecessor
-/// maps.
+/// dependence graph plus incrementally-maintained liveness. Predecessors
+/// come from the graph itself ([`Graph::preds`]).
 ///
 /// Liveness is maintained *grow-only* between [`Ctx::refresh`] calls, which
 /// can only over-approximate (spurious renamings, never unsound motion);
@@ -17,8 +16,6 @@ pub struct Ctx<'a> {
     pub ddg: &'a Ddg,
     /// Live-in register sets.
     pub lv: Liveness,
-    /// Predecessor map, refreshed after structural edits.
-    pub preds: HashMap<NodeId, Vec<NodeId>>,
     /// Per-node use/def summaries reused across liveness recomputes
     /// (stamp-keyed; see [`LivenessCache`]).
     lv_cache: LivenessCache,
@@ -29,17 +26,11 @@ impl<'a> Ctx<'a> {
     pub fn new(g: &Graph, ddg: &'a Ddg) -> Ctx<'a> {
         let mut lv_cache = LivenessCache::default();
         let lv = Liveness::compute_with(g, &mut lv_cache);
-        Ctx { ddg, lv, preds: g.predecessors(), lv_cache }
+        Ctx { ddg, lv, lv_cache }
     }
 
-    /// Fully recompute liveness and predecessors (precision reset).
+    /// Fully recompute liveness (precision reset).
     pub fn refresh(&mut self, g: &Graph) {
         self.lv = Liveness::compute_with(g, &mut self.lv_cache);
-        self.preds = g.predecessors();
-    }
-
-    /// Recompute only the predecessor map (after structural edits).
-    pub fn refresh_preds(&mut self, g: &Graph) {
-        self.preds = g.predecessors();
     }
 }

@@ -73,14 +73,12 @@ pub fn apply_move_cj(
 ) -> MoveCjOutcome {
     // Node splitting for other predecessors, exactly as in move-op.
     let mut split = None;
-    let entry_edges: usize = ctx
-        .preds
-        .get(&from)
-        .map(|ps| ps.iter().map(|&p| g.node(p).tree.leaf_paths_to(from).len()).sum())
-        .unwrap_or(0);
+    let entry_edges: usize =
+        g.preds(from).iter().map(|&p| g.node(p).tree.leaf_paths_to(from).len()).sum();
     if entry_edges > 1 {
+        // Read before the clone: a self-looping `from` would list it.
+        let preds = g.preds(from).to_vec();
         let from_b = g.clone_node(from);
-        let preds: Vec<NodeId> = ctx.preds.get(&from).cloned().unwrap_or_default();
         for p in preds {
             for lp in g.node(p).tree.leaf_paths_to(from) {
                 if p == to && lp == path {
@@ -106,11 +104,8 @@ pub fn apply_move_cj(
     g.split_leaf(to, path, cj, Some(from), Some(false_residue));
 
     ctx.lv.adopt(false_residue, from);
-    ctx.refresh_preds(g);
     if let Some(r) = g.op(cj).src[0].reg() {
-        let preds = std::mem::take(&mut ctx.preds);
-        ctx.lv.add_live_at(g, &preds, to, r);
-        ctx.preds = preds;
+        ctx.lv.add_live_at(g, to, r);
     }
 
     MoveCjOutcome { true_residue: from, false_residue, split }

@@ -225,14 +225,12 @@ pub fn apply_move_op(
     // must keep seeing the op. Clone `from` for them; (to, path) keeps the
     // original, which loses the op below.
     let mut split = None;
-    let entry_edges: usize = ctx
-        .preds
-        .get(&from)
-        .map(|ps| ps.iter().map(|&p| g.node(p).tree.leaf_paths_to(from).len()).sum())
-        .unwrap_or(0);
+    let entry_edges: usize =
+        g.preds(from).iter().map(|&p| g.node(p).tree.leaf_paths_to(from).len()).sum();
     if entry_edges > 1 {
+        // Read before the clone: a self-looping `from` would list it.
+        let preds = g.preds(from).to_vec();
         let from_b = g.clone_node(from);
-        let preds: Vec<NodeId> = ctx.preds.get(&from).cloned().unwrap_or_default();
         for p in preds {
             for lp in g.node(p).tree.leaf_paths_to(from) {
                 if p == to && lp == path {
@@ -272,25 +270,20 @@ pub fn apply_move_op(
     }
     g.insert_op_at(to, path, op);
 
-    if split.is_some() {
-        ctx.refresh_preds(g);
-    }
     let reads: Vec<RegId> = g.op(op).reads().collect();
-    let preds = std::mem::take(&mut ctx.preds);
     for r in reads {
-        ctx.lv.add_live_at(g, &preds, to, r);
+        ctx.lv.add_live_at(g, to, r);
     }
     if let Some((r, _)) = renamed {
-        ctx.lv.add_live_at(g, &preds, from, r);
+        ctx.lv.add_live_at(g, from, r);
     }
     // The moved def now reaches its downstream readers *through* `from`:
     // its destination becomes live at `from`'s entry (the stale set still
     // has the kill from when the op lived there). Without this, the
     // incremental DCE would see the moved op as dead.
     if let Some(d) = g.op(op).dest {
-        ctx.lv.add_live_at(g, &preds, from, d);
+        ctx.lv.add_live_at(g, from, d);
     }
-    ctx.preds = preds;
 
     MoveOutcome { renamed, split }
 }

@@ -137,8 +137,7 @@ fn churn(g: &mut Graph, seed: u64, budget: usize) {
         if g.op(op).kind.is_cj() {
             continue;
         }
-        let preds = g.predecessors();
-        let Some(ps) = preds.get(&n) else { continue };
+        let ps = g.preds(n);
         if ps.len() != 1 || ps[0] == g.entry {
             continue;
         }
@@ -146,7 +145,7 @@ fn churn(g: &mut Graph, seed: u64, budget: usize) {
         let paths = g.node(to).tree.leaf_paths_to(n);
         let _ = move_op(g, &mut ctx, n, to, op, paths[0]);
         if g.node_exists(n) && g.node(n).tree.is_empty() {
-            try_delete_empty(g, &mut ctx, n);
+            try_delete_empty(g, n);
         }
     }
 }

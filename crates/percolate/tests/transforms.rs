@@ -37,8 +37,7 @@ fn node_of(g: &Graph, op: OpId) -> NodeId {
 
 /// The (to, path) edge reaching `from` from its unique predecessor.
 fn edge_into(g: &Graph, from: NodeId) -> (NodeId, TreePath) {
-    let preds = g.predecessors();
-    let ps = &preds[&from];
+    let ps = g.preds(from);
     assert_eq!(ps.len(), 1, "expected unique predecessor");
     let to = ps[0];
     let paths = g.node(to).tree.leaf_paths_to(from);
@@ -449,7 +448,7 @@ fn move_cj_hoists_latch_jump() {
         Tree::Branch { cj, .. } => *cj,
         _ => panic!("latch must branch"),
     };
-    let cmp_node = ctx.preds[&li.latch][0];
+    let cmp_node = g.preds(li.latch)[0];
     let path = g.node(cmp_node).tree.leaf_paths_to(li.latch)[0];
     // The compare writes c which the cj reads: true dependence blocks.
     assert!(matches!(
@@ -565,8 +564,7 @@ fn chained_moves_compact_independent_ops_into_entry() {
             }
             let ops: Vec<OpId> = g.node_ops(n).iter().map(|&(_, o)| o).collect();
             for op in ops {
-                let preds = g.predecessors();
-                let Some(ps) = preds.get(&n) else { continue };
+                let ps = g.preds(n);
                 if ps.len() != 1 {
                     continue;
                 }

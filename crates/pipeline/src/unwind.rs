@@ -209,7 +209,7 @@ pub fn unwind(g: &mut Graph, u: usize) -> Window {
     let head = iter_heads[0];
     let latch = latches[u - 1];
     // The preheader's edge(s) to the old head now reach the window.
-    for p in g.predecessors().get(&li.head).cloned().unwrap_or_default() {
+    for p in g.preds(li.head).to_vec() {
         if p == li.latch {
             continue; // the old back edge dies with the old body
         }

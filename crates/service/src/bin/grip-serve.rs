@@ -94,10 +94,7 @@ fn main() {
                 std::process::exit(1);
             });
             eprintln!("[grip-serve] listening on {}", listener.local_addr().unwrap());
-            if let Err(e) = proto::serve_tcp(Arc::new(service), listener) {
-                eprintln!("[grip-serve] accept loop failed: {e}");
-                std::process::exit(1);
-            }
+            proto::serve_tcp(Arc::new(service), listener)
         }
         None => {
             let stdin = std::io::stdin();

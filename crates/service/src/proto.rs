@@ -50,8 +50,10 @@ use grip_core::ScheduleStats;
 use grip_json::Json;
 use grip_machine::LatencyTable;
 use std::io::{BufRead, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// How many output frames (in-flight responses + queued error lines) the
 /// line server allows before the reader blocks — bounds memory while
@@ -667,14 +669,42 @@ fn read_line_capped(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Re
     Ok(Some(true))
 }
 
+/// The most TCP connections [`serve_tcp`] serves at once.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long [`serve_tcp`] waits after a failed accept before the next one.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
 /// Accept TCP connections forever, each served by [`serve_lines`] on its
-/// own thread (connections share the service and its caches).
-pub fn serve_tcp(service: Arc<Service>, listener: TcpListener) -> std::io::Result<()> {
-    for conn in listener.incoming() {
-        let stream: TcpStream = conn?;
+/// own thread (connections share the service and its caches). At most
+/// [`MAX_CONNECTIONS`] are served at once: one more gets a single
+/// `ok:false` line and is closed. A failed accept (say, no free file
+/// descriptor) is logged, and the loop goes on after a short pause.
+pub fn serve_tcp(service: Arc<Service>, listener: TcpListener) -> ! {
+    let open = Arc::new(AtomicUsize::new(0));
+    loop {
+        let mut stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) => {
+                eprintln!("[grip-serve] accept error: {e}");
+                std::thread::sleep(ACCEPT_RETRY);
+                continue;
+            }
+        };
+        let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_default();
+        // Only this loop adds connections, so the count cannot overshoot.
+        if open.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+            let out = Json::obj()
+                .field("ok", false)
+                .field("error", format!("too many connections: {MAX_CONNECTIONS} are open"));
+            let _ = writeln!(stream, "{}", out.line());
+            eprintln!("[grip-serve] {peer}: refused, {MAX_CONNECTIONS} connections open");
+            continue;
+        }
+        let slot = ConnSlot::take(&open);
         let service = Arc::clone(&service);
-        std::thread::spawn(move || {
-            let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_default();
+        let spawned = std::thread::Builder::new().spawn(move || {
+            let _slot = slot;
             let reader = std::io::BufReader::new(match stream.try_clone() {
                 Ok(s) => s,
                 Err(_) => return,
@@ -687,8 +717,27 @@ pub fn serve_tcp(service: Arc<Service>, listener: TcpListener) -> std::io::Resul
                 Err(e) => eprintln!("[grip-serve] {peer}: connection error: {e}"),
             }
         });
+        if let Err(e) = spawned {
+            eprintln!("[grip-serve] cannot spawn a connection thread: {e}");
+        }
     }
-    Ok(())
+}
+
+/// One counted connection of [`serve_tcp`]; dropping it, on a panic too,
+/// frees the slot.
+struct ConnSlot(Arc<AtomicUsize>);
+
+impl ConnSlot {
+    fn take(open: &Arc<AtomicUsize>) -> ConnSlot {
+        open.fetch_add(1, Ordering::SeqCst);
+        ConnSlot(Arc::clone(open))
+    }
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 #[cfg(test)]
@@ -1005,5 +1054,53 @@ mod tests {
         let t = back.timings.expect("requested timings");
         assert!(t.total_ns > 0);
         assert!(t.schedule_ns > 0, "a cold schedule spends time scheduling: {t:?}");
+    }
+
+    /// Send `{"cmd":"stats"}` on `conn` and read one line back; `None`
+    /// when the connection fails first.
+    fn ask_stats(conn: &std::net::TcpStream) -> Option<String> {
+        conn.set_read_timeout(Some(Duration::from_secs(30))).ok()?;
+        (&*conn).write_all(b"{\"cmd\":\"stats\"}\n").ok()?;
+        let mut line = String::new();
+        std::io::BufReader::new(conn).read_line(&mut line).ok()?;
+        Some(line)
+    }
+
+    #[test]
+    fn tcp_connections_are_capped_and_freed_slots_are_reused() {
+        use std::net::TcpStream;
+        let svc = Arc::new(Service::new(ServiceConfig { shards: 1, ..Default::default() }));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || serve_tcp(svc, listener));
+
+        let mut held: Vec<TcpStream> =
+            (0..MAX_CONNECTIONS).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        // Connections are accepted in order: once the last held one is
+        // answered, every held one counts against the cap.
+        let answer = ask_stats(held.last().unwrap()).expect("the last held connection is served");
+        assert!(answer.contains("\"ok\":true"), "{answer}");
+
+        let extra = TcpStream::connect(addr).unwrap();
+        extra.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut reader = std::io::BufReader::new(&extra);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"ok\":false") && line.contains("too many connections"), "{line}");
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "one line, then the server closes");
+
+        // Closing one held connection frees its slot once its thread ends.
+        drop(held.remove(0));
+        let served = (0..500).any(|_| {
+            let conn = TcpStream::connect(addr).unwrap();
+            let ok = ask_stats(&conn).is_some_and(|l| l.contains("\"ok\":true"));
+            if !ok {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            ok
+        });
+        assert!(served, "a freed slot serves a new connection");
+        drop(held);
     }
 }

@@ -179,12 +179,11 @@ fn mutate(g: &mut Graph, ddg: &Ddg, op: Op, rng: &mut Rng) -> Option<String> {
             // store it flow-depends on sits — and where none of the
             // load's address registers are redefined, so the only
             // corruption the hoist introduces is the mem-order one.
-            let preds = g.predecessors();
             let mut cands = Vec::new();
             for (n, load) in placed_ops(g) {
                 let lk = g.op(load);
                 let OpKind::Load(_) = lk.kind else { continue };
-                let Some(&[p]) = preds.get(&n).map(|v| &v[..]) else { continue };
+                let &[p] = g.preds(n) else { continue };
                 if p == n {
                     continue;
                 }
