@@ -16,8 +16,8 @@ use grip_analysis::{Priority, RankTable};
 use grip_ir::{Graph, NodeId, OpId, TreePath};
 use grip_machine::MachineDesc;
 use grip_percolate::{
-    apply_move_cj, apply_move_op, plan_move_cj, plan_move_op, propagate_copies, remove_if_dead,
-    try_delete_empty, Ctx, MoveFail,
+    apply_move_cj, apply_move_op, eliminate_dead_ops, is_dead, plan_move_cj, plan_move_op,
+    propagate_copies, remove_if_dead, try_delete_empty, Ctx, MoveFail,
 };
 use std::collections::HashSet;
 use std::time::Instant;
@@ -887,7 +887,7 @@ impl<'g, 'a> Grip<'g, 'a> {
                 if self.alive_at[op.index()] >= stamp || self.frozen(op) {
                     continue;
                 }
-                if self.is_dead(m, op) {
+                if is_dead(self.g, self.ctx, m, op) {
                     dead.push((m, op));
                 } else {
                     self.alive_at[op.index()] = version;
@@ -903,15 +903,6 @@ impl<'g, 'a> Grip<'g, 'a> {
         }
     }
 
-    /// Is `op`, placed in row `m`, a pure def whose result no path reads?
-    fn is_dead(&self, m: NodeId, op: OpId) -> bool {
-        let o = self.g.op(op);
-        match o.dest {
-            Some(d) if !o.kind.is_cj() => self.ctx.lv.dest_is_dead(self.g, m, op, d),
-            _ => false,
-        }
-    }
-
     /// Debug builds: the dead ops of region rows `start..end` by a check of
     /// every op that is not frozen, as the sweep ran before it kept
     /// `alive_at`.
@@ -924,7 +915,7 @@ impl<'g, 'a> Grip<'g, 'a> {
                 continue;
             }
             for &(_, op) in self.g.node_ops(m) {
-                if !self.frozen(op) && self.is_dead(m, op) {
+                if !self.frozen(op) && is_dead(self.g, self.ctx, m, op) {
                     dead.push((m, op));
                 }
             }
@@ -1416,17 +1407,20 @@ impl<'g, 'a> Grip<'g, 'a> {
         safe
     }
 
-    fn try_delete(&mut self, n: NodeId) {
-        if self.g.node_exists(n)
+    /// Delete `n` if it is an empty region row below the first, and its
+    /// deletion is hazard-safe. Returns true if deleted.
+    fn try_delete(&mut self, n: NodeId) -> bool {
+        let deleted = self.g.node_exists(n)
             && self.g.node(n).tree.is_empty()
             && n != self.g.entry
             && self.pos.get(n).is_some_and(|p| p != 0)
             && self.deletion_is_hazard_safe(n)
-            && try_delete_empty(self.g, n)
-        {
+            && try_delete_empty(self.g, n);
+        if deleted {
             self.stats.nodes_deleted += 1;
             self.remove_from_region(n);
         }
+        deleted
     }
 
     fn dce_sweep(&mut self) {
@@ -1436,33 +1430,20 @@ impl<'g, 'a> Grip<'g, 'a> {
     }
 
     /// Copy propagation, then dead-op passes against refreshed liveness
-    /// until one removes nothing. That last pass checks every region op, so
-    /// it marks each survivor alive for [`Grip::sweep_dead`].
+    /// until one removes nothing ([`eliminate_dead_ops`]). That last pass
+    /// checked every surviving region op, so each is marked alive for
+    /// [`Grip::sweep_dead`].
     fn dce_sweep_inner(&mut self) {
         self.stats.dce_removed += propagate_copies(self.g, self.ctx) as u64;
-        self.ctx.refresh(self.g);
+        self.stats.dce_removed += eliminate_dead_ops(self.g, self.ctx, &self.region) as u64;
+        let version = self.g.version();
         self.alive_at.resize(self.alive_at.len().max(self.g.op_table_len()), 0);
-        loop {
-            let mut removed = 0;
-            for i in 0..self.region.len() {
-                let n = self.region[i];
-                if !self.g.node_exists(n) {
-                    continue;
-                }
-                let ops: Vec<OpId> = self.g.node_ops(n).iter().map(|&(_, o)| o).collect();
-                for op in ops {
-                    if remove_if_dead(self.g, self.ctx, n, op) {
-                        removed += 1;
-                    } else {
-                        self.alive_at[op.index()] = self.g.version();
-                    }
+        for &n in &self.region {
+            if self.g.node_exists(n) {
+                for &(_, op) in self.g.node_ops(n) {
+                    self.alive_at[op.index()] = version;
                 }
             }
-            self.stats.dce_removed += removed;
-            if removed == 0 {
-                break;
-            }
-            self.ctx.refresh(self.g);
         }
     }
 
@@ -1475,18 +1456,9 @@ impl<'g, 'a> Grip<'g, 'a> {
     fn cleanup_empty_below_inner(&mut self, from_idx: usize) {
         let mut i = from_idx;
         while i < self.region.len() {
-            let n = self.region[i];
-            if self.g.node_exists(n)
-                && self.g.node(n).tree.is_empty()
-                && i != 0
-                && self.deletion_is_hazard_safe(n)
-                && try_delete_empty(self.g, n)
-            {
-                self.stats.nodes_deleted += 1;
-                self.remove_from_region(n);
-                continue;
+            if !self.try_delete(self.region[i]) {
+                i += 1;
             }
-            i += 1;
         }
     }
 }

@@ -24,13 +24,23 @@
 //!    whose source still carries a positive countdown for a register the
 //!    target reads, until no hazard remains;
 //! 3. **backfill**: ready operations from rows below are pulled up into
-//!    open slots (legality via [`grip_percolate::plan_move_op`], landing
-//!    re-checked against the countdown state, renaming and speculative
-//!    moves excluded), and rows that empty out are deleted — but only
-//!    through the hazard-preserving [`delete_would_create_hazard`] check,
-//!    because removing a row between a multi-cycle producer and its
-//!    consumer shrinks their issue distance by one and can re-introduce a
-//!    hazard the schedule already paid for (the re-shrink bug).
+//!    open slots, one row at a time and, past full rows, by multi-hop
+//!    climbs. Legality is the move planner's
+//!    ([`grip_percolate::plan_move_op`], and
+//!    [`grip_percolate::plan_move_op_onto`] for each hop of a climb);
+//!    renaming and speculative moves are excluded, and only rows with one
+//!    entry edge ([`Graph::entry_edges`]) give up ops, so no move splits a
+//!    row. Landings are re-checked against the registers in flight at the
+//!    target's entry. Rows that empty out are deleted — but only through
+//!    the hazard-preserving [`delete_would_create_hazard`] check, because
+//!    removing a row between a multi-cycle producer and its consumer
+//!    shrinks their issue distance by one and can re-introduce a hazard
+//!    the schedule already paid for (the re-shrink bug).
+//!
+//! Predecessors come from the graph ([`Graph::preds`]). The dataflow
+//! skips unreachable ones, which carry no state; the upward in-flight
+//! walk behind deletions and climb landings reads them all, which can
+//! only make it more conservative.
 //!
 //! The invariant after [`resolve_hazards`] (and the roll-side
 //! [`pad_hazards`]) is hard: [`scan_hazards`] returns zero, and a
@@ -41,7 +51,9 @@
 
 use grip_ir::{Graph, NodeId, OpId, RegId, Tree, TreePath};
 use grip_machine::MachineDesc;
-use grip_percolate::{apply_move_op, plan_move_op, try_delete_empty_if, Ctx};
+use grip_percolate::{
+    apply_move_op, ops_on_path, plan_move_op, plan_move_op_onto, try_delete_empty_if, Ctx, MovePlan,
+};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Per-register outstanding delay cycles at a program point.
@@ -67,18 +79,7 @@ pub struct HazardStats {
 // Countdown dataflow
 // ----------------------------------------------------------------------
 
-/// Predecessor map restricted to reachable nodes.
-fn reachable_preds(g: &Graph, nodes: &[NodeId]) -> HashMap<NodeId, Vec<NodeId>> {
-    let mut preds: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for &n in nodes {
-        for &s in g.unique_successors(n) {
-            preds.entry(s).or_default().push(n);
-        }
-    }
-    preds
-}
-
-/// Max-merge of the out-states of `preds`.
+/// Max-merge of the out-states of `preds` (unreachable ones have none).
 fn merged_input(outs: &HashMap<NodeId, Countdowns>, preds: &[NodeId]) -> Countdowns {
     let mut input = Countdowns::new();
     for p in preds {
@@ -127,21 +128,16 @@ fn transfer(g: &Graph, desc: &MachineDesc, n: NodeId, input: &Countdowns) -> Cou
 }
 
 /// Worklist fixpoint of the countdown dataflow over `nodes` (the
-/// reachable set) with its predecessor map; returns each node's
-/// *out*-state. Countdowns are bounded by `max_latency - 1` and the
-/// transfer is monotone, so the iteration terminates.
-fn analyze(
-    g: &Graph,
-    desc: &MachineDesc,
-    nodes: &[NodeId],
-    preds: &HashMap<NodeId, Vec<NodeId>>,
-) -> HashMap<NodeId, Countdowns> {
+/// reachable set); returns each node's *out*-state. Countdowns are
+/// bounded by `max_latency - 1` and the transfer is monotone, so the
+/// iteration terminates.
+fn analyze(g: &Graph, desc: &MachineDesc, nodes: &[NodeId]) -> HashMap<NodeId, Countdowns> {
     let mut outs: HashMap<NodeId, Countdowns> = HashMap::new();
     let mut queue: VecDeque<NodeId> = nodes.iter().copied().collect();
     let mut queued: HashSet<NodeId> = nodes.iter().copied().collect();
     while let Some(n) = queue.pop_front() {
         queued.remove(&n);
-        let input = merged_input(&outs, preds.get(&n).map(Vec::as_slice).unwrap_or(&[]));
+        let input = merged_input(&outs, g.preds(n));
         let out = transfer(g, desc, n, &input);
         if outs.get(&n) != Some(&out) {
             outs.insert(n, out);
@@ -169,15 +165,14 @@ fn node_reads(g: &Graph, n: NodeId) -> HashSet<RegId> {
 /// `(pred, node, delay rows needed)`.
 fn hazard_edges(g: &Graph, desc: &MachineDesc) -> Vec<(NodeId, NodeId, u32)> {
     let nodes = g.reachable();
-    let preds = reachable_preds(g, &nodes);
-    let outs = analyze(g, desc, &nodes, &preds);
+    let outs = analyze(g, desc, &nodes);
     let mut edges = Vec::new();
     for &n in &nodes {
         let reads = node_reads(g, n);
         if reads.is_empty() {
             continue;
         }
-        for &p in preds.get(&n).map(Vec::as_slice).unwrap_or(&[]) {
+        for &p in g.preds(n) {
             let Some(out) = outs.get(&p) else { continue };
             let k = reads.iter().filter_map(|r| out.get(r)).copied().max().unwrap_or(0);
             if k > 0 {
@@ -290,29 +285,20 @@ pub fn pad_hazards(g: &mut Graph, desc: &MachineDesc) -> HazardStats {
 // Hazard-preserving row deletion
 // ----------------------------------------------------------------------
 
-/// Would deleting the empty row `n` re-shrink a producer→consumer issue
-/// distance below the producer's latency?
-///
-/// A producer `a` rows above `n` (any path) with latency `L` and a
-/// consumer `b` rows below are `a + b` issue slots apart *through* `n`;
-/// deletion makes that `a + b - 1`, which re-introduces a hazard exactly
-/// when `b <= L - a`. The scan is conservative (it ignores same-register
-/// shadowing across paths), so it can only refuse a deletion that was in
-/// fact safe — costing one empty row, never a stall.
-pub fn delete_would_create_hazard(g: &Graph, desc: &MachineDesc, n: NodeId) -> bool {
-    let lmax = desc.max_latency();
-    if lmax <= 1 {
-        return false;
-    }
-    // Upward sweep: registers still in flight at n's entry, with the
-    // worst-case residual countdown `L - a` over all producers and paths.
-    let mut hot: Countdowns = HashMap::new();
+/// The registers still in flight when `n` starts, each with its worst
+/// remaining countdown: a producer of latency `L` that issues `a` rows
+/// above `n` on some path contributes `L - a` when that is positive. An
+/// upward walk over the current graph ([`Graph::preds`], unreachable rows
+/// included). Conservative: it ignores a nearer redefinition that
+/// shadows an older producer, so a register may read hot when it is not.
+fn in_flight(g: &Graph, desc: &MachineDesc, n: NodeId) -> Countdowns {
+    let mut hot = Countdowns::new();
     let mut level: Vec<NodeId> = g.preds(n).to_vec();
-    let mut seen_up: HashSet<(NodeId, u32)> = HashSet::new();
-    for a in 1..lmax {
+    let mut seen: HashSet<(NodeId, u32)> = HashSet::new();
+    for a in 1..desc.max_latency() {
         let mut next = Vec::new();
         for &m in &level {
-            if !g.node_exists(m) || !seen_up.insert((m, a)) {
+            if !g.node_exists(m) || !seen.insert((m, a)) {
                 continue;
             }
             for &(_, o) in g.node_ops(m) {
@@ -331,6 +317,24 @@ pub fn delete_would_create_hazard(g: &Graph, desc: &MachineDesc, n: NodeId) -> b
             break;
         }
     }
+    hot
+}
+
+/// Would deleting the empty row `n` re-shrink a producer→consumer issue
+/// distance below the producer's latency?
+///
+/// A producer `a` rows above `n` (any path) with latency `L` and a
+/// consumer `b` rows below are `a + b` issue slots apart *through* `n`;
+/// deletion makes that `a + b - 1`, which re-introduces a hazard exactly
+/// when `b <= L - a`, that is when `b` is at most the register's
+/// `in_flight` countdown at `n`. The scan is conservative (it ignores
+/// same-register shadowing across paths), so it can only refuse a
+/// deletion that was in fact safe — costing one empty row, never a stall.
+pub fn delete_would_create_hazard(g: &Graph, desc: &MachineDesc, n: NodeId) -> bool {
+    if desc.max_latency() <= 1 {
+        return false;
+    }
+    let hot = in_flight(g, desc, n);
     if hot.is_empty() {
         return false;
     }
@@ -368,11 +372,11 @@ pub fn delete_would_create_hazard(g: &Graph, desc: &MachineDesc, n: NodeId) -> b
 
 /// Pull ready operations from each region row into open slots of the live
 /// row directly above it, then hazard-safely delete rows that emptied out.
-/// Only plain moves are taken (no renaming — a compensation copy would
-/// read the moved op's fresh result at distance one — and no speculation),
-/// every landing is re-checked against the countdown state at the target's
-/// entry, and stale states stay conservative because upward producer
-/// motion only ever grows producer→consumer distances.
+/// Moves that rename (a compensation copy would read the moved op's fresh
+/// result at distance one) or speculate are skipped; copy-bypass rewrites
+/// are taken. Every landing is re-checked against the countdown state at
+/// the target's entry, and stale states stay conservative because upward
+/// producer motion only ever grows producer→consumer distances.
 fn backfill(
     g: &mut Graph,
     ctx: &mut Ctx<'_>,
@@ -382,9 +386,7 @@ fn backfill(
 ) {
     ctx.refresh(g);
     for _pass in 0..64 {
-        let nodes = g.reachable();
-        let preds = reachable_preds(g, &nodes);
-        let outs = analyze(g, desc, &nodes, &preds);
+        let outs = analyze(g, desc, &g.reachable());
         let mut changed = false;
         let live: Vec<NodeId> = region.iter().copied().filter(|&m| g.node_exists(m)).collect();
         for w in live.windows(2) {
@@ -392,24 +394,15 @@ fn backfill(
             if !g.node_exists(u) || !g.node_exists(v) {
                 continue;
             }
-            // Exactly one entry edge into v, and it must come from u —
-            // otherwise the move would clone v (node splitting) or the
-            // rows are not execution-adjacent.
-            let vpreds = preds.get(&v).map(Vec::as_slice).unwrap_or(&[]);
-            let entry_edges: usize =
-                vpreds.iter().map(|&q| g.node(q).tree.leaf_paths_to(v).len()).sum();
-            if entry_edges != 1 || !vpreds.contains(&u) {
+            // v's only entry edge must come from u — otherwise the move
+            // would clone v (node splitting) or the rows are not
+            // execution-adjacent.
+            let Some((p, path)) = sole_entry(g, v) else { continue };
+            if p != u {
                 continue;
             }
-            let Some(&path) = g.node(u).tree.leaf_paths_to(v).first() else { continue };
-            let in_u = merged_input(&outs, preds.get(&u).map(Vec::as_slice).unwrap_or(&[]));
-            let ops: Vec<OpId> = g
-                .node_ops(v)
-                .iter()
-                .filter(|&&(_, o)| !g.op(o).kind.is_cj())
-                .map(|&(_, o)| o)
-                .collect();
-            for op in ops {
+            let in_u = merged_input(&outs, g.preds(u));
+            for op in movable_ops(g, v) {
                 if !desc.has_room(g, u, op) {
                     continue;
                 }
@@ -457,17 +450,32 @@ fn backfill(
             ctx.refresh(g);
         }
         if !changed {
-            // One-step fixpoint: nothing moved or deleted this pass, so
-            // the pass-level `preds` still matches the graph. Ready work
-            // deeper down may yet reach open slots past rows the adjacent
-            // sweep cannot land in (§3.2 resource barriers) — try
-            // multi-hop climbs.
-            changed = multihop_sweep(g, ctx, desc, region, &preds, stats);
+            // One-step fixpoint. Ready work deeper down may yet reach open
+            // slots past rows the adjacent sweep cannot land in (§3.2
+            // resource barriers) — try multi-hop climbs.
+            changed = multihop_sweep(g, ctx, desc, region, stats);
         }
         if !changed {
             break;
         }
     }
+}
+
+/// The only entry edge into `v` — its predecessor and that predecessor's
+/// leaf path — when [`Graph::entry_edges`] counts exactly one. Moving an
+/// op out of such a row never splits it: the split rule counts the same
+/// edges.
+fn sole_entry(g: &Graph, v: NodeId) -> Option<(NodeId, TreePath)> {
+    if g.entry_edges(v) != 1 {
+        return None;
+    }
+    let p = g.preds(v)[0];
+    Some((p, g.node(p).tree.leaf_paths_to(v)[0]))
+}
+
+/// The ordinary (non-jump) ops of row `v`, in pre-order.
+fn movable_ops(g: &Graph, v: NodeId) -> Vec<OpId> {
+    g.node_ops(v).iter().filter(|&&(_, o)| !g.op(o).kind.is_cj()).map(|&(_, o)| o).collect()
 }
 
 /// Multi-hop climb sweep, run only at the one-step fixpoint: a ready op
@@ -480,18 +488,17 @@ fn backfill(
 /// is walled off behind full compute rows.
 ///
 /// Every hop of a climb is validated by [`climb_clear`] before the first
-/// edit, so a started climb always reaches its landing row; landings are
-/// re-checked against the *current* graph by [`landing_too_hot`] (the
-/// pass-start countdown snapshot goes stale as climbed producers move),
-/// so a climb never plants a hazard for the closing pad round to re-pay.
-/// Rows therefore only ever empty and shrink, never re-pad: the schedule
-/// cannot get longer.
+/// edit, so a started climb always reaches its landing row. The landing
+/// is checked against the registers in flight at its entry, recomputed
+/// from the *current* graph for each op (climbed producers move between
+/// checks), so a climb never plants a hazard for the closing pad round to
+/// re-pay. Rows therefore only ever empty and shrink, never re-pad: the
+/// schedule cannot get longer.
 fn multihop_sweep(
     g: &mut Graph,
     ctx: &mut Ctx<'_>,
     desc: &MachineDesc,
     region: &[NodeId],
-    preds: &HashMap<NodeId, Vec<NodeId>>,
     stats: &mut HazardStats,
 ) -> bool {
     let mut changed = false;
@@ -505,50 +512,35 @@ fn multihop_sweep(
         let mut chain: Vec<(NodeId, TreePath)> = Vec::new();
         let mut prev = u;
         for &v in live.iter().skip(i + 1) {
-            let vpreds = preds.get(&v).map(Vec::as_slice).unwrap_or(&[]);
-            let entry_edges: usize =
-                vpreds.iter().map(|&q| g.node(q).tree.leaf_paths_to(v).len()).sum();
-            if entry_edges != 1 || !vpreds.contains(&prev) {
-                break;
+            match sole_entry(g, v) {
+                Some((p, path)) if p == prev && matches!(g.node(v).tree, Tree::Leaf { .. }) => {
+                    chain.push((v, path));
+                }
+                _ => break,
             }
-            let Some(&path) = g.node(prev).tree.leaf_paths_to(v).first() else { break };
-            if !matches!(g.node(v).tree, Tree::Leaf { .. }) {
-                break;
-            }
-            chain.push((v, path));
             prev = v;
         }
         // chain[0] is execution-adjacent to u — the one-step sweep already
         // exhausted it. Sources start two rows down.
         for k in 1..chain.len() {
-            let w = chain[k].0;
-            let ops: Vec<OpId> = g
-                .node_ops(w)
-                .iter()
-                .filter(|&&(_, o)| !g.op(o).kind.is_cj())
-                .map(|&(_, o)| o)
-                .collect();
-            for op in ops {
-                if !desc.has_room(g, u, op)
-                    || !climb_clear(g, ctx, u, &chain, k, op)
-                    || landing_too_hot(g, preds, desc, u, op)
-                {
+            for op in movable_ops(g, chain[k].0) {
+                if !desc.has_room(g, u, op) || !climb_clear(g, ctx, u, &chain, k, op) {
+                    continue;
+                }
+                let hot = in_flight(g, desc, u);
+                if g.op(op).reads().any(|r| hot.contains_key(&r)) {
                     continue;
                 }
                 // Apply the hops bottom-up; `climb_clear` proved each plan
                 // comes back plain.
                 for t in (0..=k).rev() {
-                    let from = chain[t].0;
-                    let to = if t == 0 { u } else { chain[t - 1].0 };
-                    let path = chain[t].1;
-                    let Ok(plan) = plan_move_op(g, ctx, from, to, op, path, None) else {
-                        debug_assert!(false, "prechecked climb hop must plan");
-                        break;
-                    };
+                    let (from, to, path) = climb_hop(u, &chain, t);
+                    let plan = plan_move_op(g, ctx, from, to, op, path, None);
                     debug_assert!(
-                        plan.rewrites.is_empty() && !plan.needs_rename && !plan.speculative,
+                        plan.as_ref().is_ok_and(MovePlan::is_plain),
                         "prechecked climb hop must be a plain move"
                     );
+                    let Ok(plan) = plan else { break };
                     let out = apply_move_op(g, ctx, from, to, op, path, &plan);
                     debug_assert!(out.split.is_none(), "single-entry rows never split");
                     changed = true;
@@ -561,13 +553,19 @@ fn multihop_sweep(
     changed
 }
 
+/// Hop `t` of a climb up `chain` into `u`: the row it leaves, the row it
+/// lands in, and the landing row's leaf path into the row it leaves.
+fn climb_hop(u: NodeId, chain: &[(NodeId, TreePath)], t: usize) -> (NodeId, NodeId, TreePath) {
+    let to = if t == 0 { u } else { chain[t - 1].0 };
+    (chain[t].0, to, chain[t].1)
+}
+
 /// Would every hop of climbing `op` from `chain[k]` through
-/// `chain[k-1..=0]` into `u` plan as a plain move (no rename, no operand
-/// rewrite, non-speculative)? Mirrors [`plan_move_op`]'s conditions for
-/// root-placed ops moving between single-leaf single-entry rows; those
-/// conditions depend only on the contents of the rows along the corridor,
-/// which the climb itself never alters — so a `true` here guarantees
-/// every subsequent plan succeeds.
+/// `chain[k-1..=0]` into `u` be a plain move ([`MovePlan::is_plain`])?
+/// Each hop is planned by [`plan_move_op_onto`] before the first edit: the
+/// op leaves every corridor row from its root (the rows are single-leaf),
+/// and the rows it passes keep their other ops while it climbs, so a
+/// `true` here guarantees every hop's [`plan_move_op`] comes back plain.
 fn climb_clear(
     g: &Graph,
     ctx: &Ctx<'_>,
@@ -576,104 +574,11 @@ fn climb_clear(
     k: usize,
     op: OpId,
 ) -> bool {
-    let o = g.op(op);
-    let reads: Vec<RegId> = o.reads().collect();
-    let dest = o.dest;
-    let is_mem = o.kind.is_mem();
-    let orig = o.orig;
-    for t in (0..=k).rev() {
-        let leaving = chain[t].0;
-        // Ops the hop lands among: for interior targets the whole
-        // single-leaf row; for the head row only the ops committing on the
-        // entry path — exactly the planner's path set.
-        let target_ops: Vec<OpId> = if t == 0 {
-            ops_committing_on(g, u, chain[0].1)
-        } else {
-            g.node_ops(chain[t - 1].0).iter().map(|&(_, p)| p).collect()
-        };
-        for &p in &target_ops {
-            let pr = g.op(p);
-            if is_mem && pr.kind.is_mem() && ctx.ddg.mem_dep(pr.orig, orig) {
-                return false; // memory dependence
-            }
-            if pr.dest.is_some_and(|d| reads.contains(&d)) {
-                return false; // true dependence (no copy bypass in a climb)
-            }
-            if dest.is_some() && pr.dest == dest {
-                return false; // output conflict would force a rename
-            }
-        }
-        // Move-past-read: a co-resident op reading the mover's dest at
-        // entry would observe the new value once the mover leaves upward.
-        if let Some(d) = dest {
-            if g.node(leaving)
-                .tree
-                .placed_ops()
-                .iter()
-                .any(|&(_, q)| q != op && g.op(q).reads_reg(d))
-            {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Ops committing on `leaf_path` of `n` (mirror of the move planner's
-/// path set).
-fn ops_committing_on(g: &Graph, n: NodeId, leaf_path: TreePath) -> Vec<OpId> {
-    let mut out = Vec::new();
-    g.node(n).tree.walk(&mut |p, t| {
-        if p.is_prefix_of(leaf_path) {
-            out.extend_from_slice(t.ops());
-        }
-    });
-    out
-}
-
-/// Would `op`, landing at `n`, read a register whose producer is still in
-/// flight at `n`'s entry? An upward walk over the *current* graph — the
-/// multi-hop sweep moves producers between checks, so the pass-start
-/// countdown snapshot cannot be trusted. Conservative: any definition
-/// within latency range counts, even if a nearer redefinition shadows it.
-fn landing_too_hot(
-    g: &Graph,
-    preds: &HashMap<NodeId, Vec<NodeId>>,
-    desc: &MachineDesc,
-    n: NodeId,
-    op: OpId,
-) -> bool {
-    let reads: Vec<RegId> = g.op(op).reads().collect();
-    if reads.is_empty() {
-        return false;
-    }
-    let lmax = desc.max_latency();
-    let mut level: Vec<NodeId> = preds.get(&n).cloned().unwrap_or_default();
-    let mut seen: HashSet<(NodeId, u32)> = HashSet::new();
-    for b in 1..lmax {
-        let mut next = Vec::new();
-        for &m in &level {
-            if !g.node_exists(m) || !seen.insert((m, b)) {
-                continue;
-            }
-            for &(_, o) in g.node_ops(m) {
-                let pr = g.op(o);
-                if let Some(d) = pr.dest {
-                    if reads.contains(&d) && desc.latency_of(pr.kind) > b {
-                        return true;
-                    }
-                }
-            }
-            if let Some(ps) = preds.get(&m) {
-                next.extend_from_slice(ps);
-            }
-        }
-        level = next;
-        if level.is_empty() {
-            break;
-        }
-    }
-    false
+    (0..=k).rev().all(|t| {
+        let (from, to, path) = climb_hop(u, chain, t);
+        plan_move_op_onto(g, ctx, from, TreePath::ROOT, op, &ops_on_path(g, to, path))
+            .is_ok_and(|plan| plan.is_plain())
+    })
 }
 
 // ----------------------------------------------------------------------
@@ -880,6 +785,10 @@ mod tests {
         g.validate().unwrap();
 
         let desc = mem3(4);
+        // What the guard reads: t's remaining countdown at each row.
+        assert_eq!(in_flight(&g, &desc, e), Countdowns::from([(t, 2)]));
+        assert_eq!(in_flight(&g, &desc, d), Countdowns::from([(t, 1)]));
+        assert!(in_flight(&g, &desc, c).is_empty());
         assert!(delete_would_create_hazard(&g, &desc, e));
         assert!(delete_would_create_hazard(&g, &desc, d));
         // Under unit latencies the same deletions are free.
@@ -893,5 +802,72 @@ mod tests {
         g2.remove_op_from(c, use_);
         g2.insert_op_at(c, TreePath::ROOT, indep);
         assert!(!delete_would_create_hazard(&g2, &desc1, e));
+    }
+
+    /// A straight-line window for the multi-hop climb on a 2-wide
+    /// machine, with `w` reading `[m, b, k][src]`:
+    ///
+    /// ```text
+    /// P:  k = load x[0] (3 cycles); m = 5   full
+    /// R0: a = m + 1                         one open slot
+    /// R1: b = a + 1; c = a + 2              full, both need a
+    /// R2: w = s + 3
+    /// ```
+    ///
+    /// Returns the graph, its rows `[P, R0, R1, R2]` and `w`'s op.
+    fn climb_window(src: usize) -> (grip_ir::Graph, [NodeId; 4], OpId) {
+        let mut g = grip_ir::Graph::new();
+        let x = g.array_typed("x", 4, grip_ir::ElemKind::I);
+        let [k, m, a, b, c, w] = ["k", "m", "a", "b", "c", "w"].map(|n| g.named_reg(n));
+        let imm = |v| Operand::Imm(Value::I(v));
+        let iadd = |d, s, v| Operation::new(OpKind::IAdd, Some(d), vec![Operand::Reg(s), imm(v)]);
+        let ld = g.add_op(Operation::new(OpKind::Load(x), Some(k), vec![imm(0)]));
+        let five = g.add_op(Operation::new(OpKind::Copy, Some(m), vec![imm(5)]));
+        let op_a = g.add_op(iadd(a, m, 1));
+        let op_b = g.add_op(iadd(b, a, 1));
+        let op_c = g.add_op(iadd(c, a, 2));
+        let op_w = g.add_op(iadd(w, [m, b, k][src], 3));
+        let r2 = g.add_node(Tree::Leaf { ops: vec![op_w], succ: None });
+        let r1 = g.add_node(Tree::Leaf { ops: vec![op_b, op_c], succ: Some(r2) });
+        let r0 = g.add_node(Tree::Leaf { ops: vec![op_a], succ: Some(r1) });
+        let p = g.add_node(Tree::Leaf { ops: vec![ld, five], succ: Some(r0) });
+        g.set_succ(g.entry, TreePath::ROOT, Some(p));
+        g.live_out = vec![a, b, c, w];
+        g.validate().unwrap();
+        (g, [p, r0, r1, r2], op_w)
+    }
+
+    #[test]
+    fn multihop_climbs_past_a_full_row() {
+        // `w = m + 3` is ready two rows below R0's open slot and climbs
+        // past the full R1, emptying R2. It stays put when R1 defines its
+        // source (`w = b + 3`) or when its source is still in flight at R0
+        // (`w = k + 3`: the load issues in the row above R0).
+        let desc = mem3(2);
+        for (src, climbs) in [(0, true), (1, false), (2, false)] {
+            let (mut g, [p, r0, r1, r2], w) = climb_window(src);
+            let g0 = g.clone();
+            let s = g.op(w).src[0].reg().unwrap();
+            assert_eq!(in_flight(&g, &desc, r0).contains_key(&s), src == 2);
+            let ddg = Ddg::build(&g, g.entry);
+            let mut ctx = Ctx::new(&g, &ddg);
+            let mut region = vec![p, r0, r1, r2];
+            let stats = resolve_hazards(&mut g, &mut ctx, &desc, &mut region);
+            g.validate().unwrap();
+            assert_eq!(stats.delay_rows, 0, "source {src}: {stats:?}");
+            assert_eq!(stats.multihop, u64::from(climbs), "source {src}: {stats:?}");
+            assert_eq!(stats.backfilled, u64::from(climbs), "source {src}: {stats:?}");
+            assert_eq!(stats.reclaimed_rows, u64::from(climbs), "source {src}: {stats:?}");
+            assert_eq!(g.placement(w), Some(if climbs { r0 } else { r2 }), "source {src}");
+            assert_eq!(scan_hazards(&g, &desc), 0);
+
+            let mut m0 = grip_vm::Machine::for_graph(&g0);
+            m0.set_array_i(grip_ir::ArrayId::new(0), &[11; 4]);
+            m0.run(&g0).unwrap();
+            let mut m1 = grip_vm::Machine::for_graph(&g);
+            m1.set_array_i(grip_ir::ArrayId::new(0), &[11; 4]);
+            assert_eq!(m1.run_model(&g, &desc).unwrap().stall_cycles, 0, "source {src}");
+            assert!(grip_vm::EquivReport::compare(&g0, &m0, &m1).is_equal(), "source {src}");
+        }
     }
 }

@@ -404,6 +404,13 @@ impl Graph {
         self.preds.get(n.index()).map_or(&[], Vec::as_slice)
     }
 
+    /// The number of edges into `n`: the leaves, over all of
+    /// [`Graph::preds`], whose successor is `n`. A predecessor whose
+    /// branches rejoin at `n` counts once per leaf.
+    pub fn entry_edges(&self, n: NodeId) -> usize {
+        self.preds(n).iter().map(|&p| self.successors(p).iter().filter(|&&s| s == n).count()).sum()
+    }
+
     // ------------------------------------------------------------------
     // Structural edits (keep `placed` consistent)
     // ------------------------------------------------------------------
@@ -846,5 +853,23 @@ mod tests {
         assert_eq!(g.preds(g.entry), []);
         assert_eq!(g.node_cj_count(n1), 1);
         assert_eq!(g.node_op_count(n1), 0);
+        assert_eq!(g.entry_edges(n2), 1);
+        assert_eq!(g.entry_edges(g.entry), 0);
+
+        // Both leaves of one predecessor's jump tree reach `join`: one
+        // `preds` entry, two entry edges.
+        let c2 = g.add_op(Operation::new(OpKind::CondJump, None, vec![Operand::Reg(r)]));
+        let join = g.add_node(Tree::leaf(None));
+        let fork = g.add_node(Tree::Branch {
+            ops: vec![],
+            cj: c2,
+            on_true: Box::new(Tree::leaf(Some(join))),
+            on_false: Box::new(Tree::leaf(Some(join))),
+        });
+        g.set_succ(n3, TreePath::ROOT, Some(fork));
+        g.validate().unwrap();
+        assert_eq!(g.preds(join), [fork]);
+        assert_eq!(g.entry_edges(join), 2);
+        assert_eq!(g.entry_edges(fork), 1);
     }
 }

@@ -8,21 +8,24 @@
 use crate::ctx::Ctx;
 use grip_ir::{Graph, NodeId, OpId};
 
-/// Remove `op` from `n` if its result can never be observed. Pure ops only
-/// (loads are removable too: they are non-faulting and side-effect free in
-/// this machine model); stores and jumps never die here.
-pub fn remove_if_dead(g: &mut Graph, ctx: &Ctx<'_>, n: NodeId, op: OpId) -> bool {
+/// Is `op`, placed in `n`, dead: a pure op whose result no path reads?
+/// Loads count as pure (they are non-faulting and side-effect free in
+/// this machine model); stores and jumps never die.
+pub fn is_dead(g: &Graph, ctx: &Ctx<'_>, n: NodeId, op: OpId) -> bool {
     let o = g.op(op);
-    let Some(d) = o.dest else { return false };
-    if o.kind.is_cj() || o.kind.is_store() {
-        return false;
+    match o.dest {
+        Some(d) if !o.kind.is_cj() && !o.kind.is_store() => ctx.lv.dest_is_dead(g, n, op, d),
+        _ => false,
     }
-    if ctx.lv.dest_is_dead(g, n, op, d) {
+}
+
+/// Remove `op` from `n` if it [`is_dead`]. Returns true if removed.
+pub fn remove_if_dead(g: &mut Graph, ctx: &Ctx<'_>, n: NodeId, op: OpId) -> bool {
+    let dead = is_dead(g, ctx, n, op);
+    if dead {
         g.remove_op_from(n, op);
-        true
-    } else {
-        false
     }
+    dead
 }
 
 /// Sweep `nodes` removing dead pure ops until a fixpoint. Refreshes the

@@ -8,7 +8,7 @@
 //! new position are exactly those that previously reached `From`.
 
 use crate::ctx::Ctx;
-use crate::moveop::{ops_on_path, MoveFail, MovePlan};
+use crate::moveop::{ops_on_path, split_other_entries, MoveFail, MovePlan};
 use grip_ir::{Graph, NodeId, OpId, OpKind, Tree, TreePath};
 
 /// Artifacts of an applied `move-cj`.
@@ -71,25 +71,7 @@ pub fn apply_move_cj(
     path: TreePath,
     plan: &MovePlan,
 ) -> MoveCjOutcome {
-    // Node splitting for other predecessors, exactly as in move-op.
-    let mut split = None;
-    let entry_edges: usize =
-        g.preds(from).iter().map(|&p| g.node(p).tree.leaf_paths_to(from).len()).sum();
-    if entry_edges > 1 {
-        // Read before the clone: a self-looping `from` would list it.
-        let preds = g.preds(from).to_vec();
-        let from_b = g.clone_node(from);
-        for p in preds {
-            for lp in g.node(p).tree.leaf_paths_to(from) {
-                if p == to && lp == path {
-                    continue;
-                }
-                g.set_succ(p, lp, Some(from_b));
-            }
-        }
-        ctx.lv.adopt(from_b, from);
-        split = Some(from_b);
-    }
+    let split = split_other_entries(g, ctx, from, to, path);
 
     // False residue: clone keeps the false side (root ops merge into it).
     let false_residue = g.clone_node(from);

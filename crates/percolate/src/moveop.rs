@@ -61,6 +61,14 @@ pub struct MovePlan {
     pub speculative: bool,
 }
 
+impl MovePlan {
+    /// A move that takes the op as it is: no renaming, no rewritten
+    /// operands, no speculation.
+    pub fn is_plain(&self) -> bool {
+        self.rewrites.is_empty() && !self.needs_rename && !self.speculative
+    }
+}
+
 /// Result of an applied move.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MoveOutcome {
@@ -71,8 +79,9 @@ pub struct MoveOutcome {
 }
 
 /// Ops committing on `leaf_path` of `to`'s tree (cj of traversed branches
-/// excluded — they write no registers).
-pub(crate) fn ops_on_path(g: &Graph, to: NodeId, leaf_path: TreePath) -> Vec<OpId> {
+/// excluded — they write no registers): the ops a move to that leaf
+/// lands among.
+pub fn ops_on_path(g: &Graph, to: NodeId, leaf_path: TreePath) -> Vec<OpId> {
     let mut out = Vec::new();
     g.node(to).tree.walk(&mut |p, t| {
         if p.is_prefix_of(leaf_path) {
@@ -102,23 +111,39 @@ pub fn plan_move_op(
         matches!(g.node(to).tree.get(path), Some(Tree::Leaf { succ: Some(s), .. }) if *s == from),
         "path must be a leaf of to targeting from"
     );
+    let q = g.node(from).tree.position_of(op).expect("op placed in from");
+    let mut path_ops = ops_on_path(g, to, path);
+    if let Some(pr) = pretend_removed {
+        path_ops.retain(|&o| o != pr);
+    }
+    plan_move_op_onto(g, ctx, from, q, op, &path_ops)
+}
+
+/// The move-op rule itself: may `op`, at position `q` of `from`'s tree,
+/// move up to commit among `path_ops` (the target leaf's
+/// [`ops_on_path`])? [`plan_move_op`] reads `q` and `path_ops` from the
+/// graph. The rule reads only `from`'s *other* ops, so `op` need not sit
+/// in `from` yet: a multi-row climb can plan every hop before its first
+/// edit.
+pub fn plan_move_op_onto(
+    g: &Graph,
+    ctx: &Ctx<'_>,
+    from: NodeId,
+    q: TreePath,
+    op: OpId,
+    path_ops: &[OpId],
+) -> Result<MovePlan, MoveFail> {
     let opref = g.op(op);
     assert!(!opref.kind.is_cj(), "use plan_move_cj for conditional jumps");
 
-    let q = g.node(from).tree.position_of(op).expect("op placed in from");
     let speculative = !q.is_empty();
     if speculative && opref.kind.is_store() {
         return Err(MoveFail::SpeculativeStore);
     }
 
-    let mut path_ops = ops_on_path(g, to, path);
-    if let Some(pr) = pretend_removed {
-        path_ops.retain(|&o| o != pr);
-    }
-
     // Memory dependences survive renaming; consult the prebuilt DDG.
     if opref.kind.is_mem() {
-        for &p in &path_ops {
+        for &p in path_ops {
             let pref = g.op(p);
             if pref.kind.is_mem() && ctx.ddg.mem_dep(pref.orig, opref.orig) {
                 return Err(MoveFail::MemDep { earlier: p, later: op });
@@ -209,6 +234,34 @@ fn spec_write_live(
     false
 }
 
+/// Node splitting: if `from` has entry edges other than `(to, path)`,
+/// they must keep seeing `from` as it is. Clone `from` for them and return
+/// the clone; `(to, path)` keeps the original, which the move then edits.
+pub(crate) fn split_other_entries(
+    g: &mut Graph,
+    ctx: &mut Ctx<'_>,
+    from: NodeId,
+    to: NodeId,
+    path: TreePath,
+) -> Option<NodeId> {
+    if g.entry_edges(from) <= 1 {
+        return None;
+    }
+    // Read before the clone: a self-looping `from` would list it.
+    let preds = g.preds(from).to_vec();
+    let from_b = g.clone_node(from);
+    for p in preds {
+        for lp in g.node(p).tree.leaf_paths_to(from) {
+            if p == to && lp == path {
+                continue;
+            }
+            g.set_succ(p, lp, Some(from_b));
+        }
+    }
+    ctx.lv.adopt(from_b, from);
+    Some(from_b)
+}
+
 /// Apply a planned move. Returns renaming/splitting artifacts.
 pub fn apply_move_op(
     g: &mut Graph,
@@ -221,27 +274,7 @@ pub fn apply_move_op(
 ) -> MoveOutcome {
     let q = g.node(from).tree.position_of(op).expect("op placed in from");
 
-    // Node splitting: if `from` has entry edges other than (to, path), they
-    // must keep seeing the op. Clone `from` for them; (to, path) keeps the
-    // original, which loses the op below.
-    let mut split = None;
-    let entry_edges: usize =
-        g.preds(from).iter().map(|&p| g.node(p).tree.leaf_paths_to(from).len()).sum();
-    if entry_edges > 1 {
-        // Read before the clone: a self-looping `from` would list it.
-        let preds = g.preds(from).to_vec();
-        let from_b = g.clone_node(from);
-        for p in preds {
-            for lp in g.node(p).tree.leaf_paths_to(from) {
-                if p == to && lp == path {
-                    continue;
-                }
-                g.set_succ(p, lp, Some(from_b));
-            }
-        }
-        ctx.lv.adopt(from_b, from);
-        split = Some(from_b);
-    }
+    let split = split_other_entries(g, ctx, from, to, path);
 
     g.remove_op_from(from, op);
 

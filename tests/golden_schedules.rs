@@ -22,7 +22,7 @@
 //! must not exceed the pinned values.
 //!
 //! The full 84-cell grid runs in release builds (CI's golden gate) or
-//! when `GOLDEN_FULL` is set; debug test runs cover a three-kernel
+//! when `GOLDEN_FULL` is set; debug test runs cover a four-kernel
 //! column of the grid to keep `cargo test` fast.
 
 use grip_bench::golden::{golden_cell, golden_table};
