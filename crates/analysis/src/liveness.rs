@@ -10,17 +10,42 @@
 use crate::bitset::BitSet;
 use crate::order::reverse_postorder;
 use grip_ir::{Graph, NodeId, OpId, RegId};
+use std::collections::VecDeque;
 
-/// Reusable per-node dataflow summaries (entry uses and must-defs), keyed
-/// by [`Graph::node_stamp`] so only nodes edited since the previous
-/// [`Liveness::compute_with`] call pay the tree walk again. The scheduler
-/// recomputes liveness after every scheduled node; between recomputes it
-/// touches a handful of rows, so the cache turns each recompute from
-/// O(nodes × tree) into O(edited nodes × tree) plus the bitset fixpoint.
+/// State reused across [`Liveness::recompute`] calls on one graph (and
+/// its edits):
+///
+/// * per-node dataflow summaries (entry uses and must-defs), keyed by
+///   [`Graph::node_stamp`], so only nodes edited since the previous call
+///   pay the tree walk again;
+/// * the reverse postorder from the entry, keyed by
+///   [`Graph::edge_version`] and `g.entry`, so it is rebuilt only when an
+///   edge or the entry changed (plain op hops leave both alone).
+///
+/// The scheduler recomputes liveness after every scheduled node; between
+/// recomputes it touches a handful of rows, so each recompute costs the
+/// edited nodes' tree walks plus one worklist fixpoint over bit sets.
 #[derive(Default)]
 pub struct LivenessCache {
     /// Indexed by node id.
     node: Vec<Option<NodeSummary>>,
+    /// Reverse postorder of the nodes reachable from the entry, and the
+    /// `(edge version, entry)` it was built at.
+    order: Vec<NodeId>,
+    order_key: Option<(u64, NodeId)>,
+}
+
+impl LivenessCache {
+    /// Rebuild the order if an edge or the entry changed since it was
+    /// built.
+    fn refresh_order(&mut self, g: &Graph) {
+        let key = (g.edge_version(), g.entry);
+        if self.order_key != Some(key) {
+            self.order = reverse_postorder(g, g.entry);
+            self.order_key = Some(key);
+        }
+        debug_assert_eq!(self.order, reverse_postorder(g, g.entry), "stale cached order");
+    }
 }
 
 /// One node's cached dataflow summary: `(stamp, uses, must_defs)`.
@@ -38,20 +63,44 @@ impl Liveness {
         Liveness::compute_with(g, &mut LivenessCache::default())
     }
 
-    /// [`Liveness::compute`] reusing `cache` for the per-node use/def
-    /// summaries across calls. Bit-identical results; only the tree walks
-    /// for unchanged nodes are skipped.
+    /// [`Liveness::compute`] reusing `cache` (per-node summaries and the
+    /// order) across calls on one graph. Bit-identical results;
+    /// [`Liveness::recompute`] also reuses an earlier result's sets.
     pub fn compute_with(g: &Graph, cache: &mut LivenessCache) -> Liveness {
+        let mut lv = Liveness { nreg: 0, live_in: Vec::new() };
+        lv.recompute(g, cache);
+        lv
+    }
+
+    /// Recompute liveness from scratch in place: the same exact result as
+    /// [`Liveness::compute`], with this result's sets reused as buffers.
+    ///
+    /// The fixpoint is a worklist seeded in postorder; when a node's
+    /// live-in changes, only its reachable predecessors
+    /// ([`Graph::preds`]) are queued again. Every set starts empty and the
+    /// transfer is monotone, so any evaluation order reaches the same
+    /// least fixpoint as round-robin passes do.
+    pub fn recompute(&mut self, g: &Graph, cache: &mut LivenessCache) {
         let nreg = g.reg_count();
-        let order = reverse_postorder(g, g.entry);
         let bound = g.node_index_bound();
+        cache.refresh_order(g);
         if cache.node.len() < bound {
             cache.node.resize_with(bound, || None);
         }
-        let mut live_in: Vec<Option<BitSet>> = Vec::new();
-        live_in.resize_with(bound, || None);
-        for &n in &order {
-            live_in[n.index()] = Some(BitSet::new(nreg));
+        // Reachable nodes get an empty set (an old one where there is
+        // one), every other node none.
+        let mut spare: Vec<BitSet> = self
+            .live_in
+            .iter_mut()
+            .filter_map(Option::take)
+            .filter(|set| set.capacity() == nreg)
+            .collect();
+        self.nreg = nreg;
+        self.live_in.resize_with(bound, || None);
+        for &n in &cache.order {
+            let mut set = spare.pop().unwrap_or_else(|| BitSet::new(nreg));
+            set.clear();
+            self.live_in[n.index()] = Some(set);
             let stamp = g.node_stamp(n);
             let fresh = match &cache.node[n.index()] {
                 Some((s, _, _)) => *s != stamp,
@@ -65,45 +114,52 @@ impl Liveness {
                 cache.node[n.index()] = Some((stamp, uses, must_defs_of(g, n)));
             }
         }
+        let mut queue: VecDeque<NodeId> = cache.order.iter().rev().copied().collect();
+        let mut queued = vec![false; bound];
+        for &n in &queue {
+            queued[n.index()] = true;
+        }
         let mut scratch = BitSet::new(nreg);
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &n in order.iter().rev() {
-                scratch.clear();
-                // live-out: union of successors' live-in; exits contribute
-                // the program's observable registers.
-                for &(_, succ) in g.node_leaves(n) {
-                    match succ {
-                        Some(s) => {
-                            if let Some(set) = live_in[s.index()].as_ref() {
-                                scratch.union_with(set);
-                            }
+        while let Some(n) = queue.pop_front() {
+            queued[n.index()] = false;
+            scratch.clear();
+            // live-out: union of successors' live-in; exits contribute
+            // the program's observable registers.
+            for &(_, succ) in g.node_leaves(n) {
+                match succ {
+                    Some(s) => {
+                        if let Some(set) = self.live_in[s.index()].as_ref() {
+                            scratch.union_with(set);
                         }
-                        None => {
-                            for &r in &g.live_out {
-                                scratch.insert(r.index());
-                            }
+                    }
+                    None => {
+                        for &r in &g.live_out {
+                            scratch.insert(r.index());
                         }
                     }
                 }
-                let (_, uses, must) = cache.node[n.index()].as_ref().expect("summary built");
-                // Kill registers defined on *every* path.
-                for r in must {
-                    scratch.remove(r.index());
-                }
-                // All operand fetches happen at entry.
-                for r in uses {
-                    scratch.insert(r.index());
-                }
-                let entry = live_in[n.index()].as_mut().expect("node in order");
-                if *entry != scratch {
-                    std::mem::swap(entry, &mut scratch);
-                    changed = true;
+            }
+            let (_, uses, must) = cache.node[n.index()].as_ref().expect("summary built");
+            // Kill registers defined on *every* path.
+            for r in must {
+                scratch.remove(r.index());
+            }
+            // All operand fetches happen at entry.
+            for r in uses {
+                scratch.insert(r.index());
+            }
+            let entry = self.live_in[n.index()].as_mut().expect("node in order");
+            if *entry != scratch {
+                std::mem::swap(entry, &mut scratch);
+                // Only reachable predecessors hold a set.
+                for &p in g.preds(n) {
+                    if self.live_in[p.index()].is_some() && !queued[p.index()] {
+                        queued[p.index()] = true;
+                        queue.push_back(p);
+                    }
                 }
             }
         }
-        Liveness { nreg, live_in }
     }
 
     /// Live-in set of `n` (empty for unknown nodes).

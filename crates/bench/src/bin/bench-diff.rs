@@ -26,8 +26,9 @@
 //!   absolute tolerance — the sweep's shuffle order is seeded, so the
 //!   hit/miss split is deterministic for matching parameters).
 //!
-//! Wall-clock fields (`*_us`, `requests_per_sec`, cold-stage p50/p99) are
-//! *reported* as deltas but not gated here — timing is machine-dependent;
+//! Wall-clock fields (`*_us`, the `sched_phases` totals of the pick loop,
+//! `requests_per_sec`, cold-stage p50/p99) are *reported* as deltas but
+//! not gated here — timing is machine-dependent;
 //! the budget gate (`machines --budget`) owns absolute ceilings.
 //!
 //! Usage: `bench-diff <baseline.json> <candidate.json>`
@@ -52,10 +53,15 @@ struct Cell {
     hazard_backfills: i64,
     grip_iterations: i64,
     stage_us: BTreeMap<&'static str, f64>,
+    /// The cell's `sched_phases`, in [`PHASES`] order, when it has them.
+    phase_us: Option<[f64; 4]>,
 }
 
 const STAGES: [&str; 7] =
     ["prepare_us", "schedule_us", "hazards_us", "verify_us", "audit_us", "bounds_us", "wall_us"];
+
+/// The pick-loop phases of a cell's `sched_phases` object.
+const PHASES: [&str; 4] = ["cand_refresh_us", "legality_us", "commit_us", "dead_sweep_us"];
 
 /// The cold-path stages `BENCH_service.json` reports p50/p99 for.
 const SERVICE_STAGES: [&str; 6] = ["prepare", "schedule", "hazards", "verify", "audit", "bounds"];
@@ -90,6 +96,9 @@ fn load_cells(path: &str, doc: &Json) -> BTreeMap<(String, String), Cell> {
                 hazard_backfills: i("hazard_backfills"),
                 grip_iterations: i("grip_iterations"),
                 stage_us: STAGES.iter().map(|&k| (k, f(k))).collect(),
+                phase_us: c
+                    .get("sched_phases")
+                    .map(|p| PHASES.map(|k| p.get(k).and_then(Json::as_f64).unwrap_or(0.0))),
             },
         );
     }
@@ -225,9 +234,11 @@ fn diff_machines(base_path: &str, base_doc: &Json, cand_path: &str, cand_doc: &J
         }
     }
 
-    // Per-stage totals (reported, not gated).
+    // Per-stage and per-phase totals (reported, not gated). Phases are
+    // summed over the cells that carry them on both sides.
     let mut tot_base: BTreeMap<&str, f64> = BTreeMap::new();
     let mut tot_cand: BTreeMap<&str, f64> = BTreeMap::new();
+    let (mut phase_base, mut phase_cand, mut phase_cells) = ([0.0; 4], [0.0; 4], 0);
 
     println!(
         "{:<10} {:<6} {:>10} {:>10} {:>6} {:>6}  {:>12} {:>12} {:>7}",
@@ -288,6 +299,13 @@ fn diff_machines(base_path: &str, base_doc: &Json, cand_path: &str, cand_doc: &J
             *tot_base.entry(s).or_default() += b.stage_us[s];
             *tot_cand.entry(s).or_default() += c.stage_us[s];
         }
+        if let (Some(pb), Some(pc)) = (b.phase_us, c.phase_us) {
+            for i in 0..PHASES.len() {
+                phase_base[i] += pb[i];
+                phase_cand[i] += pc[i];
+            }
+            phase_cells += 1;
+        }
         let ratio = if c.stage_us["schedule_us"] > 0.0 {
             b.stage_us["schedule_us"] / c.stage_us["schedule_us"]
         } else {
@@ -309,9 +327,7 @@ fn diff_machines(base_path: &str, base_doc: &Json, cand_path: &str, cand_doc: &J
 
     println!("\nper-stage totals (baseline -> candidate):");
     for &s in &STAGES {
-        let (tb, tc) = (tot_base.get(s).copied().unwrap_or(0.0), tot_cand[s]);
-        let ratio = if tc > 0.0 { tb / tc } else { f64::NAN };
-        println!("  {s:<12} {:>12.1} ms -> {:>12.1} ms   ({ratio:>6.1}x)", tb / 1e3, tc / 1e3);
+        print_total(s, tot_base.get(s).copied().unwrap_or(0.0), tot_cand[s]);
     }
     let (db, dc) = (
         base.values().map(|c| c.hazard_delay_rows).sum::<i64>(),
@@ -327,8 +343,24 @@ fn diff_machines(base_path: &str, base_doc: &Json, cand_path: &str, cand_doc: &J
         cand.values().map(|c| c.grip_iterations).sum::<i64>(),
     );
     println!("  grip_iterations {pb} -> {pc}");
+    if phase_cells > 0 {
+        println!("\npick-loop phase totals over {phase_cells} cells (baseline -> candidate):");
+        for (i, s) in PHASES.iter().enumerate() {
+            print_total(s, phase_base[i], phase_cand[i]);
+        }
+    }
 
     report(regressions, &format!("{} cells", base.len()));
+}
+
+/// One `baseline -> candidate` total line, in ms, with the speed ratio.
+fn print_total(name: &str, base_us: f64, cand_us: f64) {
+    let ratio = if cand_us > 0.0 { base_us / cand_us } else { f64::NAN };
+    println!(
+        "  {name:<16} {:>12.1} ms -> {:>12.1} ms   ({ratio:>6.1}x)",
+        base_us / 1e3,
+        cand_us / 1e3
+    );
 }
 
 fn report(regressions: Vec<String>, what: &str) {

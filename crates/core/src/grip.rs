@@ -12,6 +12,7 @@
 //! `Gapless-move` test and the three suspension rules, which is what makes
 //! Perfect Pipelining converge.
 
+use crate::hazards::DeletionGuard;
 use grip_analysis::{Priority, RankTable};
 use grip_ir::{Graph, NodeId, OpId, TreePath};
 use grip_machine::MachineDesc;
@@ -469,6 +470,8 @@ pub struct Grip<'g, 'a> {
     /// Per op: the [`Graph::version`] at which a dead-op check last found
     /// it alive (see [`Grip::sweep_dead`]).
     alive_at: Vec<u64>,
+    /// Remembered refusals of the empty-row deletion check.
+    deletion_guard: DeletionGuard,
     stats: ScheduleStats,
     phases: PhaseTimes,
     trace: Vec<TraceEvent>,
@@ -518,6 +521,7 @@ impl<'g, 'a> Grip<'g, 'a> {
             migrate_clock: SampledClock::new(),
             dead_start: usize::MAX,
             alive_at: Vec::new(),
+            deletion_guard: DeletionGuard::default(),
             stats: ScheduleStats::default(),
             phases: PhaseTimes::default(),
             trace: Vec::new(),
@@ -1394,13 +1398,14 @@ impl<'g, 'a> Grip<'g, 'a> {
     /// May the empty row `n` be deleted without re-shrinking a
     /// producer→consumer issue distance below the producer's latency?
     /// (Row deletion used to undo distances the latency guard had already
-    /// approved — the re-shrink bug; refused deletions are counted.)
+    /// approved — the re-shrink bug; refused deletions are counted.) The
+    /// run's [`DeletionGuard`] answers repeat refusals without a walk.
     fn deletion_is_hazard_safe(&mut self, n: NodeId) -> bool {
         let desc = &self.cfg.machine;
         if desc.max_latency() <= 1 {
             return true;
         }
-        let safe = !crate::hazards::delete_would_create_hazard(self.g, desc, n);
+        let safe = !self.deletion_guard.would_create_hazard(self.g, desc, n);
         if !safe {
             self.stats.deletions_blocked += 1;
         }

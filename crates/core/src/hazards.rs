@@ -32,10 +32,11 @@
 //!    entry edge ([`Graph::entry_edges`]) give up ops, so no move splits a
 //!    row. Landings are re-checked against the registers in flight at the
 //!    target's entry. Rows that empty out are deleted — but only through
-//!    the hazard-preserving [`delete_would_create_hazard`] check, because
-//!    removing a row between a multi-cycle producer and its consumer
-//!    shrinks their issue distance by one and can re-introduce a hazard
-//!    the schedule already paid for (the re-shrink bug).
+//!    the hazard-preserving [`delete_would_create_hazard`] check (asked
+//!    through a [`DeletionGuard`]), because removing a row between a
+//!    multi-cycle producer and its consumer shrinks their issue distance
+//!    by one and can re-introduce a hazard the schedule already paid for
+//!    (the re-shrink bug).
 //!
 //! Predecessors come from the graph ([`Graph::preds`]). The dataflow
 //! skips unreachable ones, which carry no state; the upward in-flight
@@ -292,6 +293,16 @@ pub fn pad_hazards(g: &mut Graph, desc: &MachineDesc) -> HazardStats {
 /// included). Conservative: it ignores a nearer redefinition that
 /// shadows an older producer, so a register may read hot when it is not.
 fn in_flight(g: &Graph, desc: &MachineDesc, n: NodeId) -> Countdowns {
+    in_flight_reading(g, desc, n, &mut Vec::new())
+}
+
+/// [`in_flight`], appending to `read` every row whose ops it read.
+fn in_flight_reading(
+    g: &Graph,
+    desc: &MachineDesc,
+    n: NodeId,
+    read: &mut Vec<NodeId>,
+) -> Countdowns {
     let mut hot = Countdowns::new();
     let mut level: Vec<NodeId> = g.preds(n).to_vec();
     let mut seen: HashSet<(NodeId, u32)> = HashSet::new();
@@ -301,6 +312,7 @@ fn in_flight(g: &Graph, desc: &MachineDesc, n: NodeId) -> Countdowns {
             if !g.node_exists(m) || !seen.insert((m, a)) {
                 continue;
             }
+            read.push(m);
             for &(_, o) in g.node_ops(m) {
                 let op = g.op(o);
                 if let Some(d) = op.dest {
@@ -330,11 +342,18 @@ fn in_flight(g: &Graph, desc: &MachineDesc, n: NodeId) -> Countdowns {
 /// `in_flight` countdown at `n`. The scan is conservative (it ignores
 /// same-register shadowing across paths), so it can only refuse a
 /// deletion that was in fact safe — costing one empty row, never a stall.
+///
+/// This is the uncached reference; schedulers that ask again and again
+/// go through a [`DeletionGuard`].
 pub fn delete_would_create_hazard(g: &Graph, desc: &MachineDesc, n: NodeId) -> bool {
-    if desc.max_latency() <= 1 {
-        return false;
-    }
-    let hot = in_flight(g, desc, n);
+    desc.max_latency() > 1 && deletion_walk(g, desc, n, &mut Vec::new())
+}
+
+/// The walk behind [`delete_would_create_hazard`], appending to `read`
+/// every row whose ops it read: the upward in-flight levels, then the
+/// downward levels up to the read that refused.
+fn deletion_walk(g: &Graph, desc: &MachineDesc, n: NodeId, read: &mut Vec<NodeId>) -> bool {
+    let hot = in_flight_reading(g, desc, n, read);
     if hot.is_empty() {
         return false;
     }
@@ -349,6 +368,7 @@ pub fn delete_would_create_hazard(g: &Graph, desc: &MachineDesc, n: NodeId) -> b
             if !g.node_exists(m) || !seen_dn.insert((m, b)) {
                 continue;
             }
+            read.push(m);
             for &(_, o) in g.node_ops(m) {
                 for r in g.op(o).reads() {
                     if hot.get(&r).copied().unwrap_or(0) >= b {
@@ -364,6 +384,76 @@ pub fn delete_would_create_hazard(g: &Graph, desc: &MachineDesc, n: NodeId) -> b
         }
     }
     false
+}
+
+/// [`delete_would_create_hazard`] with its refusals remembered. Most
+/// checks repeat a refusal on an empty row nothing near has touched, so
+/// for each refused row the guard keeps the [`Graph::edge_version`], the
+/// [`Graph::version`] and every row whose ops the refusing walk read. A
+/// repeat check is answered with the refusal, without a walk, while the
+/// edge version is unchanged and none of those rows has a newer
+/// [`Graph::node_stamp`]: the walk would visit the same rows and read the
+/// same ops. Approvals are not kept: an approved row is normally deleted
+/// right after.
+///
+/// One guard serves one graph and one machine: GRiP's run owns one, and
+/// so does each hazard pass. Debug builds re-walk every remembered
+/// refusal and assert that it still refuses.
+#[derive(Default)]
+pub struct DeletionGuard {
+    /// By row id.
+    refused: Vec<Option<Refusal>>,
+    /// Checks that walked the graph (the rest were remembered refusals).
+    walks: u64,
+}
+
+/// One remembered refusal: what it read, and the graph it read it in.
+struct Refusal {
+    edge_version: u64,
+    version: u64,
+    read: Vec<NodeId>,
+}
+
+impl DeletionGuard {
+    /// Would deleting the empty row `n` re-shrink a producer distance?
+    /// The same answer as [`delete_would_create_hazard`].
+    pub fn would_create_hazard(&mut self, g: &Graph, desc: &MachineDesc, n: NodeId) -> bool {
+        if desc.max_latency() <= 1 {
+            return false;
+        }
+        if self.refused.len() <= n.index() {
+            self.refused.resize_with(n.index() + 1, || None);
+        }
+        let slot = &mut self.refused[n.index()];
+        if let Some(r) = slot {
+            if r.edge_version == g.edge_version()
+                && r.read.iter().all(|&m| g.node_stamp(m) <= r.version)
+            {
+                debug_assert!(
+                    delete_would_create_hazard(g, desc, n),
+                    "remembered deletion refusal of {n} no longer holds"
+                );
+                return true;
+            }
+        }
+        self.walks += 1;
+        let mut read = Vec::new();
+        let refused = deletion_walk(g, desc, n, &mut read);
+        read.sort_unstable();
+        read.dedup();
+        *slot = refused.then_some(Refusal {
+            edge_version: g.edge_version(),
+            version: g.version(),
+            read,
+        });
+        refused
+    }
+
+    /// How many checks so far walked the graph; the others were answered
+    /// from a remembered refusal.
+    pub fn walks(&self) -> u64 {
+        self.walks
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -384,6 +474,7 @@ fn backfill(
     region: &mut Vec<NodeId>,
     stats: &mut HazardStats,
 ) {
+    let mut guard = DeletionGuard::default();
     ctx.refresh(g);
     for _pass in 0..64 {
         let outs = analyze(g, desc, &g.reachable());
@@ -439,7 +530,7 @@ fn backfill(
             .collect();
         let mut deleted_any = false;
         for m in empties {
-            if try_delete_empty_if(g, m, |g, m| !delete_would_create_hazard(g, desc, m)) {
+            if try_delete_empty_if(g, m, |g, m| !guard.would_create_hazard(g, desc, m)) {
                 region.retain(|&x| x != m);
                 stats.reclaimed_rows += 1;
                 deleted_any = true;
@@ -760,11 +851,11 @@ mod tests {
         assert!(grip_vm::EquivReport::compare(&g0, &m0, &m1).is_equal());
     }
 
-    #[test]
-    fn deletion_guard_catches_the_reshrink() {
-        // P(load, 3 cycles) -> E(empty) -> D(empty) -> C(reads the load):
-        // the distance is exactly 3; deleting either empty row re-shrinks
-        // it below the latency.
+    /// P(load t, 3 cycles) -> E(empty) -> D(empty) -> C(u = t + 1): the
+    /// distance is exactly 3; deleting either empty row re-shrinks it
+    /// below the latency. Returns the graph, `[P, E, D, C]`, the load,
+    /// the consumer and `t`.
+    fn reshrink_chain() -> (grip_ir::Graph, [NodeId; 4], OpId, OpId, RegId) {
         let mut g = grip_ir::Graph::new();
         let x = g.array("x", 4);
         let t = g.named_reg("t");
@@ -783,7 +874,12 @@ mod tests {
         g.set_succ(g.entry, TreePath::ROOT, Some(p));
         g.live_out = vec![u];
         g.validate().unwrap();
+        (g, [p, e, d, c], ld, use_, t)
+    }
 
+    #[test]
+    fn deletion_guard_catches_the_reshrink() {
+        let (g, [_, e, d, c], _, use_, t) = reshrink_chain();
         let desc = mem3(4);
         // What the guard reads: t's remaining countdown at each row.
         assert_eq!(in_flight(&g, &desc, e), Countdowns::from([(t, 2)]));
@@ -802,6 +898,31 @@ mod tests {
         g2.remove_op_from(c, use_);
         g2.insert_op_at(c, TreePath::ROOT, indep);
         assert!(!delete_would_create_hazard(&g2, &desc1, e));
+    }
+
+    #[test]
+    fn deletion_guard_forgets_a_refusal_once_a_row_it_read_changes() {
+        // One run per side of E: the consumer leaves C (a row below E),
+        // or the load leaves P (a row above). Neither edit touches an
+        // edge, so only the read rows' stamps can expose it.
+        let desc = mem3(4);
+        for below in [true, false] {
+            let (mut g, [p, e, _, c], ld, use_, _) = reshrink_chain();
+            let mut guard = DeletionGuard::default();
+            assert!(guard.would_create_hazard(&g, &desc, e));
+            assert_eq!(guard.walks(), 1);
+            assert!(guard.would_create_hazard(&g, &desc, e), "a repeat still refuses");
+            assert_eq!(guard.walks(), 1, "a repeat is answered without a walk");
+            let edges = g.edge_version();
+            if below {
+                g.remove_op_from(c, use_);
+            } else {
+                g.remove_op_from(p, ld);
+            }
+            assert_eq!(g.edge_version(), edges);
+            assert!(!guard.would_create_hazard(&g, &desc, e), "below {below}: approves");
+            assert_eq!(guard.walks(), 2, "below {below}: the changed row forces a walk");
+        }
     }
 
     /// A straight-line window for the multi-hop climb on a 2-wide

@@ -6,7 +6,7 @@
 //! operations do not compete with useful operations for resources."
 
 use crate::ctx::Ctx;
-use grip_ir::{Graph, NodeId, OpId};
+use grip_ir::{Graph, NodeId, OpId, RegId};
 
 /// Is `op`, placed in `n`, dead: a pure op whose result no path reads?
 /// Loads count as pure (they are non-faulting and side-effect free in
@@ -68,6 +68,11 @@ pub fn eliminate_dead_ops(g: &mut Graph, ctx: &mut Ctx<'_>, nodes: &[NodeId]) ->
 /// exit. This is the global form of §2 copy bypassing; it is what lets the
 /// carried/renaming copies of the unwound kernels die instead of competing
 /// for functional units.
+///
+/// Each round first counts definitions; the per-register reader lists are
+/// built only when some copy qualifies (its dest and source each defined
+/// once). A round with no qualifying copy could change nothing, so it
+/// ends the loop without building them.
 pub fn propagate_copies(g: &mut Graph, ctx: &mut Ctx<'_>) -> usize {
     let mut removed = 0;
     // Epoch-stamped visited marks for the per-copy reachability DFS.
@@ -80,7 +85,6 @@ pub fn propagate_copies(g: &mut Graph, ctx: &mut Ctx<'_>) -> usize {
         // lists replace the whole-graph rescans the old per-copy loop did.
         let mut def_count: Vec<u32> = vec![0; nreg];
         let mut def_node: Vec<Option<NodeId>> = vec![None; nreg];
-        let mut readers: Vec<Vec<OpId>> = vec![Vec::new(); nreg];
         let mut copies: Vec<(NodeId, OpId)> = Vec::new();
         for &n in &nodes {
             for &(_, op) in g.node_ops(n) {
@@ -89,11 +93,19 @@ pub fn propagate_copies(g: &mut Graph, ctx: &mut Ctx<'_>) -> usize {
                     def_count[d.index()] += 1;
                     def_node[d.index()] = Some(n);
                 }
-                for r in o.reads() {
-                    readers[r.index()].push(op);
-                }
                 if o.is_reg_copy() {
                     copies.push((n, op));
+                }
+            }
+        }
+        if !copies.iter().any(|&(_, op)| single_def_copy(g, op, &def_count).is_some()) {
+            break;
+        }
+        let mut readers: Vec<Vec<OpId>> = vec![Vec::new(); nreg];
+        for &n in &nodes {
+            for &(_, op) in g.node_ops(n) {
+                for r in g.op(op).reads() {
+                    readers[r.index()].push(op);
                 }
             }
         }
@@ -107,14 +119,7 @@ pub fn propagate_copies(g: &mut Graph, ctx: &mut Ctx<'_>) -> usize {
             }
             // Re-read the copy's operands: earlier rewrites in this pass may
             // have redirected its source.
-            let o = g.op(op);
-            if !o.is_reg_copy() {
-                continue;
-            }
-            let (Some(d), Some(src)) = (o.dest, o.src[0].reg()) else { continue };
-            if d == src || def_count[d.index()] != 1 || def_count[src.index()] != 1 {
-                continue;
-            }
+            let Some((d, src)) = single_def_copy(g, op, &def_count) else { continue };
             let s_def = def_node[src.index()];
             // Forward reachability from the copy, stopping at s's def node
             // and at the copy's node (either resets the value relation).
@@ -181,6 +186,17 @@ pub fn propagate_copies(g: &mut Graph, ctx: &mut Ctx<'_>) -> usize {
     removed
 }
 
+/// `(dest, source)` of `op` when it is a register copy whose dest and
+/// source are distinct and each defined exactly once.
+fn single_def_copy(g: &Graph, op: OpId, def_count: &[u32]) -> Option<(RegId, RegId)> {
+    let o = g.op(op);
+    if !o.is_reg_copy() {
+        return None;
+    }
+    let (Some(d), Some(src)) = (o.dest, o.src[0].reg()) else { return None };
+    (d != src && def_count[d.index()] == 1 && def_count[src.index()] == 1).then_some((d, src))
+}
+
 /// Delete `n` if it holds no operations and no jumps, splicing its
 /// predecessors to its successor. Returns true if deleted.
 ///
@@ -198,7 +214,9 @@ pub fn try_delete_empty(g: &mut Graph, n: NodeId) -> bool {
 /// `safe(g, n)` agrees. The predicate runs after the structural checks,
 /// immediately before the splice, so it sees exactly the graph that the
 /// deletion would edit. Schedulers pass a producer-distance re-check here
-/// (e.g. `grip_core::hazards::delete_would_create_hazard`) to keep their
+/// (e.g. `grip_core::hazards::DeletionGuard::would_create_hazard`, which
+/// remembers refusals, or the uncached
+/// `grip_core::hazards::delete_would_create_hazard`) to keep their
 /// schedules stall-free.
 pub fn try_delete_empty_if(
     g: &mut Graph,

@@ -16,8 +16,8 @@ pub struct Ctx<'a> {
     pub ddg: &'a Ddg,
     /// Live-in register sets.
     pub lv: Liveness,
-    /// Per-node use/def summaries reused across liveness recomputes
-    /// (stamp-keyed; see [`LivenessCache`]).
+    /// Use/def summaries and the node order reused across liveness
+    /// recomputes (see [`LivenessCache`]).
     lv_cache: LivenessCache,
 }
 
@@ -29,8 +29,9 @@ impl<'a> Ctx<'a> {
         Ctx { ddg, lv, lv_cache }
     }
 
-    /// Fully recompute liveness (precision reset).
+    /// Fully recompute liveness (precision reset), reusing the current
+    /// sets as buffers.
     pub fn refresh(&mut self, g: &Graph) {
-        self.lv = Liveness::compute_with(g, &mut self.lv_cache);
+        self.lv.recompute(g, &mut self.lv_cache);
     }
 }

@@ -239,7 +239,16 @@ struct OpenLoopStats {
 fn main() {
     let opts = parse_args();
     match &opts.mode {
-        Mode::Emit => emit(&opts),
+        Mode::Emit => match emit(&opts) {
+            Ok(()) => {}
+            // The reader closed the pipe (say, `| head`): nothing more to
+            // emit, and nothing went wrong.
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+            Err(e) => {
+                eprintln!("[grip-client] cannot write requests: {e}");
+                std::process::exit(1);
+            }
+        },
         Mode::Check => {
             let stdin = std::io::stdin();
             let mut frames = Frames::default();
@@ -278,7 +287,7 @@ fn pace_until(next: Instant) {
     }
 }
 
-fn emit(opts: &Opts) {
+fn emit(opts: &Opts) -> std::io::Result<()> {
     let stdout = std::io::stdout();
     let mut w = BufWriter::new(stdout.lock());
     let reqs = audit_workload(opts);
@@ -294,8 +303,8 @@ fn emit(opts: &Opts) {
             while t0.elapsed().as_secs_f64() < secs {
                 let mut req = reqs[i % reqs.len()].clone();
                 req.id = i as u64 + 1;
-                writeln!(w, "{}", proto::request_to_json(&req).line()).expect("stdout");
-                w.flush().expect("stdout");
+                writeln!(w, "{}", proto::request_to_json(&req).line())?;
+                w.flush()?;
                 i += 1;
                 next += period;
                 pace_until(next);
@@ -304,21 +313,21 @@ fn emit(opts: &Opts) {
         }
         _ => {
             for req in reqs {
-                writeln!(w, "{}", proto::request_to_json(&req).line()).expect("stdout");
+                writeln!(w, "{}", proto::request_to_json(&req).line())?;
             }
         }
     }
     if opts.probes {
         for line in telemetry_probe_lines() {
-            writeln!(w, "{line}").expect("stdout");
+            writeln!(w, "{line}")?;
         }
     }
     if opts.metrics {
         for line in metrics_probe_lines() {
-            writeln!(w, "{line}").expect("stdout");
+            writeln!(w, "{line}")?;
         }
     }
-    w.flush().expect("stdout");
+    w.flush()
 }
 
 fn drive_tcp(opts: &Opts, addr: &str) {

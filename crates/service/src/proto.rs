@@ -476,6 +476,8 @@ enum Frame {
 /// `MAX_LINE_BYTES` (1 MiB); `{"cmd":"stats"}` quiesces the pipeline and
 /// answers with aggregate counters. A shard worker dying mid-request
 /// yields an in-band `ok:false` line for that request, not a dead server.
+/// A failed write (say, the peer closed its end) stops the writer thread;
+/// reading then stops too, and the write error is returned.
 pub fn serve_lines(
     service: &Service,
     mut reader: impl BufRead,
@@ -485,9 +487,6 @@ pub fn serve_lines(
     // Bounded: enqueueing blocks once PIPELINE_WINDOW frames are unwritten,
     // which caps the in-flight pipeline.
     let (frames, frame_rx) = mpsc::sync_channel::<Frame>(PIPELINE_WINDOW);
-    fn send(frames: &mpsc::SyncSender<Frame>, frame: Frame) {
-        frames.send(frame).expect("writer thread gone");
-    }
 
     std::thread::scope(|scope| -> std::io::Result<ServeSummary> {
         let writer_thread = scope.spawn(move || -> std::io::Result<()> {
@@ -517,129 +516,147 @@ pub fn serve_lines(
             writer.flush()
         });
 
-        let mut line = Vec::new();
-        while let Some(fits) = read_line_capped(&mut reader, &mut line)? {
-            let text = match std::str::from_utf8(&line) {
-                Ok(text) if fits => text.trim(),
-                _ => {
-                    summary.rejected += 1;
-                    let error = if fits {
-                        "request line is not valid UTF-8".to_string()
-                    } else {
-                        format!("request line longer than {MAX_LINE_BYTES} bytes")
-                    };
-                    let out = Json::obj().field("ok", false).field("error", error);
-                    send(&frames, Frame::Line(out.line()));
-                    continue;
-                }
-            };
-            if text.is_empty() {
-                continue;
-            }
-            match Json::parse(text) {
-                Ok(j) if j.get("cmd").is_some() => {
-                    // Control commands see a quiesced service: wait until
-                    // every earlier frame is on the wire.
-                    let (ack, ack_rx) = mpsc::sync_channel(1);
-                    send(&frames, Frame::Sync(ack));
-                    let _ = ack_rx.recv();
-                    match j.get("cmd").and_then(Json::as_str) {
-                        Some("stats") => {
-                            // The windowed view diffs the current registry
-                            // against the sampler's oldest retained
-                            // snapshot (empty until the first tick — the
-                            // serve binary ticks at boot and ~1 Hz).
-                            let window =
-                                grip_obs::window::global().stats_registry(grip_obs::global());
-                            let out = Json::obj()
-                                .field("cmd", "stats")
-                                .field("ok", true)
-                                .field("stats", service.stats().to_json())
-                                .field("window", window.to_json());
-                            send(&frames, Frame::Line(out.line()));
-                        }
-                        // `{"cmd":"events","n":K}` dumps the flight
-                        // recorder: the last K completion records plus up
-                        // to K retained slow-request captures, newest
-                        // first. The pipeline is quiesced, so every
-                        // request answered before this line is journaled.
-                        Some("events") => {
-                            let rec = grip_obs::events::global();
-                            let n = match j.get("n") {
-                                None | Some(Json::Null) => 16,
-                                Some(v) => match v.as_i64() {
-                                    Some(k) if k >= 0 => k as usize,
-                                    _ => {
-                                        summary.rejected += 1;
-                                        let out = Json::obj()
-                                            .field("ok", false)
-                                            .field("error", "\"n\" must be a non-negative integer");
-                                        send(&frames, Frame::Line(out.line()));
-                                        continue;
-                                    }
-                                },
-                            };
-                            let events: Vec<Json> =
-                                rec.recent(n).iter().map(|r| r.to_json()).collect();
-                            let slow: Vec<Json> = rec.slow(n).iter().map(|r| r.to_json()).collect();
-                            let out = Json::obj()
-                                .field("cmd", "events")
-                                .field("ok", true)
-                                .field("total", rec.total_recorded())
-                                .field("events", Json::Arr(events))
-                                .field("slow", Json::Arr(slow));
-                            send(&frames, Frame::Line(out.line()));
-                        }
-                        // `{"cmd":"metrics"}` dumps the process-wide
-                        // grip-obs registry (stage histograms, pass
-                        // counters, cache counters) as JSON, or — with
-                        // `"format":"prometheus"` — as a Prometheus text
-                        // exposition in the `text` field.
-                        Some("metrics") => {
-                            let snap = grip_obs::global().snapshot();
-                            let out = Json::obj().field("cmd", "metrics").field("ok", true);
-                            let out = match j.get("format").and_then(Json::as_str) {
-                                Some("prometheus") => out
-                                    .field("format", "prometheus")
-                                    .field("text", snap.to_prometheus()),
-                                _ => out.field("metrics", snap.to_json()),
-                            };
-                            send(&frames, Frame::Line(out.line()));
-                        }
-                        other => {
-                            summary.rejected += 1;
-                            let out = Json::obj()
-                                .field("ok", false)
-                                .field("error", format!("unknown cmd {other:?}"));
-                            send(&frames, Frame::Line(out.line()));
-                        }
-                    }
-                }
-                Ok(j) => match request_from_json(&j) {
-                    Ok(req) => {
-                        summary.served += 1;
-                        send(&frames, Frame::Resp(service.submit_async(req)));
-                    }
-                    Err(e) => {
-                        summary.rejected += 1;
-                        let id = j.get("id").and_then(Json::as_i64).unwrap_or(0);
-                        let out =
-                            Json::obj().field("id", id as u64).field("ok", false).field("error", e);
-                        send(&frames, Frame::Line(out.line()));
-                    }
-                },
-                Err(e) => {
-                    summary.rejected += 1;
-                    let out =
-                        Json::obj().field("ok", false).field("error", format!("bad JSON: {e}"));
-                    send(&frames, Frame::Line(out.line()));
-                }
-            }
-        }
+        let read = read_requests(service, &mut reader, &frames, &mut summary);
         drop(frames);
+        // A failed send means the writer stopped on a write error: that
+        // error is the session's.
         writer_thread.join().expect("writer thread panicked")?;
+        read?;
         Ok(summary)
     })
+}
+
+/// Queue a frame for the writer thread. Fails once that thread has
+/// stopped, which it does only on a write error.
+fn send(frames: &mpsc::SyncSender<Frame>, frame: Frame) -> std::io::Result<()> {
+    frames.send(frame).map_err(|_| std::io::ErrorKind::BrokenPipe.into())
+}
+
+/// The reading half of [`serve_lines`]: answer or queue each request line
+/// in order, until end of input, a read error, or a stopped writer.
+fn read_requests(
+    service: &Service,
+    reader: &mut impl BufRead,
+    frames: &mpsc::SyncSender<Frame>,
+    summary: &mut ServeSummary,
+) -> std::io::Result<()> {
+    let mut line = Vec::new();
+    while let Some(fits) = read_line_capped(reader, &mut line)? {
+        let text = match std::str::from_utf8(&line) {
+            Ok(text) if fits => text.trim(),
+            _ => {
+                summary.rejected += 1;
+                let error = if fits {
+                    "request line is not valid UTF-8".to_string()
+                } else {
+                    format!("request line longer than {MAX_LINE_BYTES} bytes")
+                };
+                let out = Json::obj().field("ok", false).field("error", error);
+                send(frames, Frame::Line(out.line()))?;
+                continue;
+            }
+        };
+        if text.is_empty() {
+            continue;
+        }
+        match Json::parse(text) {
+            Ok(j) if j.get("cmd").is_some() => {
+                // Control commands see a quiesced service: wait until
+                // every earlier frame is on the wire.
+                let (ack, ack_rx) = mpsc::sync_channel(1);
+                send(frames, Frame::Sync(ack))?;
+                let _ = ack_rx.recv();
+                match j.get("cmd").and_then(Json::as_str) {
+                    Some("stats") => {
+                        // The windowed view diffs the current registry
+                        // against the sampler's oldest retained
+                        // snapshot (empty until the first tick — the
+                        // serve binary ticks at boot and ~1 Hz).
+                        let window = grip_obs::window::global().stats_registry(grip_obs::global());
+                        let out = Json::obj()
+                            .field("cmd", "stats")
+                            .field("ok", true)
+                            .field("stats", service.stats().to_json())
+                            .field("window", window.to_json());
+                        send(frames, Frame::Line(out.line()))?;
+                    }
+                    // `{"cmd":"events","n":K}` dumps the flight
+                    // recorder: the last K completion records plus up
+                    // to K retained slow-request captures, newest
+                    // first. The pipeline is quiesced, so every
+                    // request answered before this line is journaled.
+                    Some("events") => {
+                        let rec = grip_obs::events::global();
+                        let n = match j.get("n") {
+                            None | Some(Json::Null) => 16,
+                            Some(v) => match v.as_i64() {
+                                Some(k) if k >= 0 => k as usize,
+                                _ => {
+                                    summary.rejected += 1;
+                                    let out = Json::obj()
+                                        .field("ok", false)
+                                        .field("error", "\"n\" must be a non-negative integer");
+                                    send(frames, Frame::Line(out.line()))?;
+                                    continue;
+                                }
+                            },
+                        };
+                        let events: Vec<Json> = rec.recent(n).iter().map(|r| r.to_json()).collect();
+                        let slow: Vec<Json> = rec.slow(n).iter().map(|r| r.to_json()).collect();
+                        let out = Json::obj()
+                            .field("cmd", "events")
+                            .field("ok", true)
+                            .field("total", rec.total_recorded())
+                            .field("events", Json::Arr(events))
+                            .field("slow", Json::Arr(slow));
+                        send(frames, Frame::Line(out.line()))?;
+                    }
+                    // `{"cmd":"metrics"}` dumps the process-wide
+                    // grip-obs registry (stage histograms, pass
+                    // counters, cache counters) as JSON, or — with
+                    // `"format":"prometheus"` — as a Prometheus text
+                    // exposition in the `text` field.
+                    Some("metrics") => {
+                        let snap = grip_obs::global().snapshot();
+                        let out = Json::obj().field("cmd", "metrics").field("ok", true);
+                        let out = match j.get("format").and_then(Json::as_str) {
+                            Some("prometheus") => out
+                                .field("format", "prometheus")
+                                .field("text", snap.to_prometheus()),
+                            _ => out.field("metrics", snap.to_json()),
+                        };
+                        send(frames, Frame::Line(out.line()))?;
+                    }
+                    other => {
+                        summary.rejected += 1;
+                        let out = Json::obj()
+                            .field("ok", false)
+                            .field("error", format!("unknown cmd {other:?}"));
+                        send(frames, Frame::Line(out.line()))?;
+                    }
+                }
+            }
+            Ok(j) => match request_from_json(&j) {
+                Ok(req) => {
+                    summary.served += 1;
+                    send(frames, Frame::Resp(service.submit_async(req)))?;
+                }
+                Err(e) => {
+                    summary.rejected += 1;
+                    let id = j.get("id").and_then(Json::as_i64).unwrap_or(0);
+                    let out =
+                        Json::obj().field("id", id as u64).field("ok", false).field("error", e);
+                    send(frames, Frame::Line(out.line()))?;
+                }
+            },
+            Err(e) => {
+                summary.rejected += 1;
+                let out = Json::obj().field("ok", false).field("error", format!("bad JSON: {e}"));
+                send(frames, Frame::Line(out.line()))?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Read one line of `reader` into `buf`, without its newline. `None` at
@@ -835,6 +852,39 @@ mod tests {
         assert_eq!(st.get("sched_hits").and_then(Json::as_i64), Some(1));
         let r3 = response_from_json(&lines[4]).unwrap();
         assert!(!r3.ok && r3.error.unwrap().contains("unknown kernel"));
+    }
+
+    /// A sink that takes one line, then fails every write the way a
+    /// closed pipe does.
+    struct ClosesAfterOneLine {
+        lines: usize,
+    }
+
+    impl Write for ClosesAfterOneLine {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.lines > 0 {
+                return Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "reader gone"));
+            }
+            self.lines += buf.iter().filter(|&&b| b == b'\n').count();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_output_ends_the_session_with_the_write_error() {
+        let svc = Service::new(ServiceConfig { shards: 1, ..Default::default() });
+        let input: String = (1..=200)
+            .map(|i| {
+                format!("{{\"id\":{i},\"kernel\":\"LL1\",\"n\":4,\"machine\":\"uniform2\"}}\n")
+            })
+            .collect();
+        let err = serve_lines(&svc, input.as_bytes(), ClosesAfterOneLine { lines: 0 }).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+        assert_eq!(err.to_string(), "reader gone", "the writer's own error comes back");
     }
 
     #[test]

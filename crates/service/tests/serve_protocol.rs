@@ -254,3 +254,28 @@ fn grip_serve_refuses_hostile_lines_and_keeps_serving() {
         }
     }
 }
+
+/// `grip-client --emit | head -3`: the reader takes three lines and closes
+/// the pipe. The emitter must end quietly with status 0. `--repeat 50`
+/// makes the sweep far larger than a pipe buffer, so the client is still
+/// writing when the pipe closes.
+#[test]
+fn grip_client_emit_ends_quietly_when_its_reader_closes_the_pipe() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_grip-client"))
+        .args(["--emit", "--n", "24", "--repeat", "50"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn grip-client");
+    let mut out = BufReader::new(child.stdout.take().expect("stdout"));
+    for _ in 0..3 {
+        let mut line = String::new();
+        out.read_line(&mut line).expect("read request");
+        assert!(Json::parse(line.trim()).is_ok(), "bad line {line:?}");
+    }
+    drop(out);
+    let done = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&done.stderr);
+    assert!(done.status.success(), "status {:?}, stderr: {stderr}", done.status);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
