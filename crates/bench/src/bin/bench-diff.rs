@@ -28,8 +28,7 @@
 //!
 //! Wall-clock fields (`*_us`, the `sched_phases` totals of the pick loop,
 //! `requests_per_sec`, cold-stage p50/p99) are *reported* as deltas but
-//! not gated here — timing is machine-dependent;
-//! the budget gate (`machines --budget`) owns absolute ceilings.
+//! not gated here — timing is machine-dependent.
 //!
 //! Usage: `bench-diff <baseline.json> <candidate.json>`
 //! Exits nonzero on any gate breach, printing a regression table.
@@ -224,9 +223,9 @@ fn diff_machines(base_path: &str, base_doc: &Json, cand_path: &str, cand_doc: &J
             println!("note: {}/{} is new in the candidate (no baseline)", k.0, k.1);
         }
     }
-    // The walls depend on the host's core count, on a serial or parallel
-    // sweep and on the compiler: say when the two sweeps differ in any.
-    for key in ["nproc", "seq", "rustc"] {
+    // The walls depend on the host's core count and on the compiler: say
+    // when the two sweeps differ in either.
+    for key in ["nproc", "rustc"] {
         let (b, c) = (base_doc.get(key), cand_doc.get(key));
         if b != c {
             let show = |v: Option<&Json>| v.map_or("absent".to_string(), Json::line);

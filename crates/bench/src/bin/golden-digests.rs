@@ -1,31 +1,27 @@
 //! Regenerate `tests/golden_schedules.json`: the pinned structural
-//! digests of every preset × kernel schedule (see `grip_bench::golden`).
+//! digests of every preset × kernel schedule (see `grip_bench::golden`),
+//! taken from the same cells the `machines` sweep measures, one worker
+//! pool shard per kernel.
 //!
 //! Run this ONLY when a schedule change is intended and reviewed — the
 //! `golden_schedules` test exists precisely to catch unintended drift
 //! from scheduler rewrites.
 //!
-//! Usage: `golden-digests [trip-count] [--seq] [--out PATH]`
-//! (default n = 24, parallel, writes `tests/golden_schedules.json`).
+//! Usage: `golden-digests [trip-count] [--out PATH]` (default n = 24,
+//! writes `tests/golden_schedules.json`). Any other argument exits 2.
 
 #![forbid(unsafe_code)]
 
-use grip_bench::golden::{golden_json, golden_table};
+use grip_bench::golden::golden_json;
+use grip_bench::machines::machine_table;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let n: i64 = args.iter().find_map(|a| a.parse::<i64>().ok()).unwrap_or(24);
-    let parallel = !args.iter().any(|a| a == "--seq");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "tests/golden_schedules.json".to_string());
+    let mut out = "tests/golden_schedules.json".to_string();
+    let n = grip_bench::sweep_args("golden-digests [trip-count] [--out PATH]", 24, Some(&mut out));
 
     eprintln!("golden digests: n = {n}, 14 kernels × 6 presets …");
     let t0 = std::time::Instant::now();
-    let cells = golden_table(n, parallel);
+    let cells = machine_table(n, true);
     eprintln!("captured {} cells in {:.1?}", cells.len(), t0.elapsed());
 
     match std::fs::write(&out, golden_json(n, &cells).pretty()) {

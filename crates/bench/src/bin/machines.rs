@@ -9,145 +9,28 @@
 //! no cell may achieve fewer steady rows than its proven lower bound, nor
 //! fewer VM cycles than the bound scaled by its full-traversal count.
 //!
-//! Usage: `machines [trip-count] [--seq] [--budget [path]] [--write-budget]`
-//! (default n = 100, parallel).
-//!
-//! `--budget` reads a committed `BENCH_BUDGET.json` (per-cell `wall_us`
-//! ceiling plus a total-sweep ceiling, both with headroom baked in at
-//! capture time) and exits nonzero if any cell — or the sweep as a whole
-//! — breaches it: the CI wall-clock regression gate. Cells under the
-//! 1 s noise floor are exempt from the per-cell check (timer and
-//! scheduling noise dominates them); the total ceiling still covers
-//! them. `--write-budget` captures a fresh budget from this run (3x
-//! per-cell, 2x total headroom) for committing after a deliberate perf
-//! change.
+//! Usage: `machines [trip-count]` (default n = 100). The sweep runs
+//! serially, cell after cell, so the per-cell walls it records are
+//! comparable from run to run. Any other argument exits 2.
 
 #![forbid(unsafe_code)]
 
-use grip_bench::json::Json;
-use grip_bench::machines::{machine_table, machines_json, render_machines, MachineCell};
-
-/// Headroom multipliers baked into a written budget: wall time on shared
-/// CI runners is noisy, so a cell must get ~3x slower (or the sweep 2x)
-/// before the gate trips — real algorithmic regressions are far larger.
-const CELL_HEADROOM: f64 = 3.0;
-const TOTAL_HEADROOM: f64 = 2.0;
-
-/// Per-cell noise floor: cells this cheap are dominated by thread
-/// scheduling on a contended runner (a 2 ms cell can take 50 ms by
-/// placement luck), so the per-cell gate only fires above it. Real
-/// cold-path regressions are orders of magnitude larger; the 2x total
-/// ceiling still catches broad slowdowns below the floor.
-const CELL_FLOOR_US: f64 = 1_000_000.0;
-
-/// Check every cell (and the sweep total) against the committed budget.
-/// Returns human-readable breach descriptions; empty means within budget.
-fn check_budget(path: &str, cells: &[MachineCell]) -> Vec<String> {
-    let src = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => return vec![format!("cannot read budget {path}: {e}")],
-    };
-    let doc = match Json::parse(&src) {
-        Ok(d) => d,
-        Err(e) => return vec![format!("budget {path}: {e}")],
-    };
-    let mut breaches = Vec::new();
-    let mut ceilings = std::collections::HashMap::new();
-    for c in doc.get("cells").and_then(Json::as_arr).unwrap_or(&[]) {
-        let m = c.get("machine").and_then(Json::as_str).unwrap_or("");
-        let k = c.get("kernel").and_then(Json::as_str).unwrap_or("");
-        let w = c.get("wall_us").and_then(Json::as_f64).unwrap_or(f64::INFINITY);
-        ceilings.insert((m.to_string(), k.to_string()), w);
-    }
-    let mut total = 0.0;
-    for c in cells {
-        let wall = c.timings.total_ns as f64 / 1000.0;
-        total += wall;
-        match ceilings.get(&(c.machine.clone(), c.kernel.clone())) {
-            Some(&ceiling) if wall > ceiling && wall > CELL_FLOOR_US => breaches.push(format!(
-                "{}/{}: wall {:.0} us over budget {:.0} us ({:.1}x)",
-                c.machine,
-                c.kernel,
-                wall,
-                ceiling,
-                wall / ceiling
-            )),
-            Some(_) => {}
-            None => breaches.push(format!(
-                "{}/{}: no budget entry — regenerate with --write-budget",
-                c.machine, c.kernel
-            )),
-        }
-    }
-    let total_ceiling = doc.get("total_wall_us").and_then(Json::as_f64).unwrap_or(f64::INFINITY);
-    if total > total_ceiling {
-        breaches.push(format!(
-            "sweep total: wall {:.0} us over budget {:.0} us ({:.1}x)",
-            total,
-            total_ceiling,
-            total / total_ceiling
-        ));
-    }
-    breaches
-}
-
-/// Serialize a fresh budget (with headroom) from this run's walls.
-fn budget_json(n: i64, cells: &[MachineCell]) -> Json {
-    let total: f64 = cells.iter().map(|c| c.timings.total_ns as f64 / 1000.0).sum();
-    Json::obj()
-        .field("bench", "machines_budget")
-        .field("trip_count", n)
-        .field("cell_headroom", CELL_HEADROOM)
-        .field("total_headroom", TOTAL_HEADROOM)
-        .field("total_wall_us", (total * TOTAL_HEADROOM).ceil())
-        .field(
-            "cells",
-            cells
-                .iter()
-                .map(|c| {
-                    Json::obj()
-                        .field("machine", c.machine.as_str())
-                        .field("kernel", c.kernel.as_str())
-                        .field(
-                            "wall_us",
-                            (c.timings.total_ns as f64 / 1000.0 * CELL_HEADROOM).ceil(),
-                        )
-                })
-                .collect::<Vec<_>>(),
-        )
-}
+use grip_bench::machines::{machine_table, machines_json, render_machines};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let n: i64 = args.iter().find_map(|a| a.parse::<i64>().ok()).unwrap_or(100);
-    let parallel = !args.iter().any(|a| a == "--seq");
-    let write_budget = args.iter().any(|a| a == "--write-budget");
-    let budget_path: Option<String> = args.iter().position(|a| a == "--budget").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--") && p.parse::<i64>().is_err())
-            .cloned()
-            .unwrap_or_else(|| "BENCH_BUDGET.json".to_string())
-    });
+    let n = grip_bench::sweep_args("machines [trip-count]", 100, None);
 
     eprintln!("machine sweep: n = {n}, 14 kernels × 6 presets …");
     let t0 = std::time::Instant::now();
-    let mut cells = machine_table(n, parallel);
-    eprintln!("measured in {:.1?}", t0.elapsed());
-    // The parallel sweep oversubscribes small runners; re-measure (once,
-    // serially) any cell whose timing decomposition looks preemption-torn
-    // before gating on it. See `machines::remeasure_unaccounted`.
-    let redone = grip_bench::machines::remeasure_unaccounted(&mut cells, n, 0.95);
-    if redone > 0 {
-        eprintln!("re-measured {redone} preemption-torn cells serially");
-    }
-    eprintln!();
+    let cells = machine_table(n, false);
+    eprintln!("measured in {:.1?}\n", t0.elapsed());
 
     println!("Machine presets over LL1-LL14 (latency-aware model cycles)");
     println!("==========================================================");
     print!("{}", render_machines(&cells));
 
     let path = "BENCH_machines.json";
-    match std::fs::write(path, machines_json(n, &cells, !parallel).pretty()) {
+    match std::fs::write(path, machines_json(n, &cells).pretty()) {
         Ok(()) => eprintln!("\nwrote {path}"),
         Err(e) => eprintln!("\ncould not write {path}: {e}"),
     }
@@ -189,22 +72,7 @@ fn main() {
         .filter(|c| (c.timings.stage_sum_ns() as f64) < 0.95 * c.timings.total_ns as f64)
         .collect();
 
-    if write_budget {
-        let path = "BENCH_BUDGET.json";
-        match std::fs::write(path, budget_json(n, &cells).pretty()) {
-            Ok(()) => {
-                eprintln!("wrote {path} ({CELL_HEADROOM}x cell / {TOTAL_HEADROOM}x total headroom)")
-            }
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
-
-    // Wall-clock budget gate: every cell and the sweep total must stay
-    // under the committed ceilings. Checked alongside the semantic gates
-    // so a breach is reported with full context.
-    let breaches = budget_path.as_deref().map(|p| check_budget(p, &cells)).unwrap_or_default();
-
-    if bad.is_empty() && unsound.is_empty() && unaccounted.is_empty() && breaches.is_empty() {
+    if bad.is_empty() && unsound.is_empty() && unaccounted.is_empty() {
         let at_bound = cells.iter().filter(|c| c.bounds.at_bound).count();
         println!(
             "\nAll cells verified against sequential execution and audit-clean; \
@@ -212,9 +80,6 @@ fn main() {
              sound ({at_bound} cells at their proven bound); \
              stage timings account for every cell's wall time."
         );
-        if budget_path.is_some() {
-            println!("All cells (and the sweep total) within the wall-clock budget.");
-        }
     } else {
         println!("\nVIOLATIONS:");
         for c in bad {
@@ -249,9 +114,6 @@ fn main() {
                 c.timings.stage_sum_ns() as f64 / 1000.0,
                 c.timings.total_ns as f64 / 1000.0
             );
-        }
-        for b in &breaches {
-            println!("  budget: {b}");
         }
         std::process::exit(1);
     }

@@ -5,20 +5,19 @@
 //! Every cell is backed by a bitwise simulation equivalence check of the
 //! transformed program against the sequential original.
 //!
-//! Usage: `table1 [trip-count] [--seq]` (default n = 100, parallel sweep).
+//! Usage: `table1 [trip-count]` (default n = 100; one worker-pool shard
+//! per kernel). Any other argument exits 2.
 
 #![forbid(unsafe_code)]
 
 use grip_bench::{render_table1, table1};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let n: i64 = args.iter().find_map(|a| a.parse::<i64>().ok()).unwrap_or(100);
-    let parallel = !args.iter().any(|a| a == "--seq");
+    let n = grip_bench::sweep_args("table1 [trip-count]", 100, None);
 
     eprintln!("Table 1 sweep: n = {n}, {} kernels × 3 widths × 2 schedulers …", 14);
     let t0 = std::time::Instant::now();
-    let rows = table1(n, parallel);
+    let rows = table1(n);
     eprintln!("measured in {:.1?}\n", t0.elapsed());
 
     println!("Table 1: Observed Speed-up (measured vs paper)");

@@ -14,8 +14,9 @@
 //!   preset over LL1–LL14, with latency-aware simulation
 //!   (`BENCH_machines.json`).
 //!
-//! The kernel sweep runs one scoped-thread worker per kernel. Reports are
-//! serialized by the dependency-free [`json`] module.
+//! The kernel sweeps run one worker-pool shard per kernel
+//! ([`per_kernel`]). Reports are serialized by the dependency-free
+//! [`json`] module.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,6 +35,7 @@ use grip_json::Json;
 use grip_kernels::Kernel;
 use grip_machine::MachineDesc;
 use grip_pipeline::{perfect_pipeline, PipelineOptions, PipelineReport};
+use grip_service::default_unwind;
 use grip_vm::{EquivReport, Machine};
 
 /// One (kernel × FU) measurement.
@@ -94,19 +96,13 @@ impl Table1Row {
 /// The FU configurations of Table 1.
 pub const FUS: [usize; 3] = [2, 4, 8];
 
-/// Unwind factor used for a given width (enough iterations to fill the
-/// machine, as §1 argues resource-aware pipelining should).
-pub fn unwind_for(fus: usize) -> usize {
-    (3 * fus).clamp(10, 20)
-}
-
 /// Run GRiP (Table 1 configuration) on a kernel at the given width.
 pub fn run_grip(k: &Kernel, n: i64, fus: usize) -> (Graph, PipelineReport) {
     let mut g = (k.build)(n);
     let rep = perfect_pipeline(
         &mut g,
         PipelineOptions {
-            unwind: unwind_for(fus),
+            unwind: default_unwind(fus),
             machine: MachineDesc::uniform(fus),
             fold_inductions: true,
             gap_prevention: true,
@@ -121,7 +117,7 @@ pub fn run_grip(k: &Kernel, n: i64, fus: usize) -> (Graph, PipelineReport) {
 /// Run POST on a kernel at the given width.
 pub fn run_post(k: &Kernel, n: i64, fus: usize) -> (Graph, PipelineReport) {
     let mut g = (k.build)(n);
-    let rep = post_pipeline(&mut g, PostOptions::vliw(unwind_for(fus), fus));
+    let rep = post_pipeline(&mut g, PostOptions::vliw(default_unwind(fus), fus));
     (g, rep)
 }
 
@@ -168,20 +164,42 @@ pub fn measure_kernel(k: &Kernel, n: i64) -> Table1Row {
     }
 }
 
-/// Measure all kernels on the service worker pool, one shard per kernel
-/// (the same layout the old scoped-thread loop had, minus the loop).
-pub fn table1(n: i64, parallel: bool) -> Vec<Table1Row> {
+/// `measure` applied to every kernel on the service worker pool, one
+/// shard per kernel; the results come back in kernel order.
+pub fn per_kernel<R: Send + 'static>(
+    measure: impl Fn(&'static Kernel) -> R + Send + Sync + 'static,
+) -> Vec<R> {
     let ks = grip_kernels::kernels();
-    if !parallel {
-        return ks.iter().map(|k| measure_kernel(k, n)).collect();
-    }
-    let pool: grip_service::pool::ShardedPool<&'static Kernel, Table1Row> =
-        grip_service::pool::ShardedPool::new(
-            ks.len(),
-            |_| (),
-            move |_, _, k, _| measure_kernel(k, n),
-        );
+    let pool = grip_service::pool::ShardedPool::new(ks.len(), |_| (), move |_, _, k, _| measure(k));
     pool.map_batch(ks.iter().enumerate())
+}
+
+/// Measure all kernels, one pool shard per kernel.
+pub fn table1(n: i64) -> Vec<Table1Row> {
+    per_kernel(move |k| measure_kernel(k, n))
+}
+
+/// Read a sweep bin's arguments strictly: an optional trip count
+/// (default `default_n`) and, when the bin writes to `out`, an optional
+/// `--out PATH` that replaces it. Any other argument prints `usage` and
+/// exits with status 2, before any work runs.
+pub fn sweep_args(usage: &str, default_n: i64, mut out: Option<&mut String>) -> i64 {
+    let mut n = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--out" {
+            if let (Some(path), Some(p)) = (out.as_deref_mut(), args.next()) {
+                *path = p;
+                continue;
+            }
+        } else if let (Ok(v @ 1..), None) = (arg.parse::<i64>(), n) {
+            n = Some(v);
+            continue;
+        }
+        eprintln!("unexpected argument {arg:?}\nusage: {usage}");
+        std::process::exit(2);
+    }
+    n.unwrap_or(default_n)
 }
 
 /// Arithmetic mean of a column.

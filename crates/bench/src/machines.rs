@@ -8,12 +8,13 @@
 //! speedup reflects both the packing the scheduler achieved and the
 //! hazards it avoided.
 
+use crate::golden::schedule_digest;
 use crate::json::Json;
-use crate::unwind_for;
-use grip_core::PhaseTimes;
+use grip_core::{PhaseTimes, ScheduleStats};
 use grip_kernels::Kernel;
 use grip_machine::MachineDesc;
 use grip_pipeline::{perfect_pipeline, PipelineOptions};
+use grip_service::default_unwind;
 use grip_vm::{EquivReport, Machine};
 
 /// One (machine × kernel) measurement.
@@ -35,15 +36,19 @@ pub struct MachineCell {
     pub body_speedup: f64,
     /// Steady rows of the scheduled window (the schedule length).
     pub schedule_rows: usize,
+    /// Structural digest of the scheduled graph and its region order
+    /// (see [`schedule_digest`]), pinned by the golden-schedule test.
+    pub digest: u64,
     /// Scheduled program matched the sequential program bitwise.
     pub verified: bool,
     /// Issue-template violations observed while simulating the schedule.
     pub template_violations: u64,
-    /// Delay rows the hazard post-pass had to insert — the padding the
-    /// scheduler's placement left behind (lower is better).
-    pub hazard_delay_rows: u64,
-    /// Ready ops the post-pass backfilled into that padding.
-    pub hazard_backfills: u64,
+    /// Every scheduler counter of the run: the wire-visible `stats` of a
+    /// response. `picks` is the one per-cell cost figure that repeats
+    /// exactly from run to run (`grip_iterations` in the JSON), and
+    /// `hazard_delay_rows` is the padding the scheduler's placement left
+    /// behind (lower is better).
+    pub stats: ScheduleStats,
     /// Per-stage self times for this cell (prepare/schedule/hazards/
     /// verify plus the measured wall), from the grip-obs span collector.
     pub timings: grip_obs::StageBreakdown,
@@ -57,9 +62,6 @@ pub struct MachineCell {
     pub audit_diagnostics: usize,
     /// The `grip-bounds` certificate for this cell's steady window.
     pub bounds: grip_bounds::BoundCertificate,
-    /// Candidate-selection rounds the scheduler ran (`stats.picks`): the
-    /// one per-cell cost figure that repeats exactly from run to run.
-    pub grip_iterations: u64,
     /// Unwind factor the cell was scheduled with (scales the bound to
     /// whole-program cycles for the soundness gate).
     pub unwind: usize,
@@ -79,15 +81,15 @@ impl MachineCell {
             .field("schedule_rows", self.schedule_rows)
             .field("verified", self.verified)
             .field("template_violations", self.template_violations)
-            .field("hazard_delay_rows", self.hazard_delay_rows)
-            .field("hazard_backfills", self.hazard_backfills)
+            .field("hazard_delay_rows", self.stats.hazard_delay_rows)
+            .field("hazard_backfills", self.stats.hazard_backfills)
             .field("audit_clean", self.audit_clean)
             .field("audit_diagnostics", self.audit_diagnostics as u64)
             .field("bound_cycles", self.bounds.bound_cycles)
             .field("binding_constraint", self.bounds.binding_constraint.as_str())
             .field("gap_pct", self.bounds.gap_pct)
             .field("at_bound", self.bounds.at_bound)
-            .field("grip_iterations", self.grip_iterations)
+            .field("grip_iterations", self.stats.picks)
             .field("unwind", self.unwind as u64)
             .field("prepare_us", self.timings.prepare_ns as f64 / 1000.0)
             .field("schedule_us", self.timings.schedule_ns as f64 / 1000.0)
@@ -119,9 +121,11 @@ pub fn preset_label(desc: &MachineDesc) -> String {
 /// Measure one kernel on one machine. The whole measurement runs under a
 /// grip-obs stage collector, so the cell carries a per-stage breakdown
 /// (prepare/schedule/hazards from the pipeline's own spans, verify from
-/// the model runs below) that decomposes the cell's wall time.
+/// the model runs below) that decomposes the cell's wall time. The
+/// schedule digest is taken after the collector closes, outside every
+/// wall.
 pub fn measure_machine(k: &Kernel, n: i64, desc: MachineDesc) -> MachineCell {
-    let ((rep, verified, seq, sched, unwind), stage_timings) = grip_obs::collect(|| {
+    let ((g, rep, verified, seq, sched, unwind), stage_timings) = grip_obs::collect(|| {
         let (g0, mut g) = {
             // Kernel construction folds into the "prepare" bucket of the
             // breakdown, like the engine's build span.
@@ -130,8 +134,7 @@ pub fn measure_machine(k: &Kernel, n: i64, desc: MachineDesc) -> MachineCell {
             let g = g0.clone();
             (g0, g)
         };
-        let width = desc.width.min(8);
-        let unwind = unwind_for(width);
+        let unwind = default_unwind(desc.width);
         let rep = perfect_pipeline(
             &mut g,
             PipelineOptions {
@@ -159,7 +162,7 @@ pub fn measure_machine(k: &Kernel, n: i64, desc: MachineDesc) -> MachineCell {
             (Ok(_), Ok(_)) => EquivReport::compare(&g0, &m0, &m1).is_equal(),
             _ => false,
         };
-        (rep, verified, seq, sched, unwind)
+        (g, rep, verified, seq, sched, unwind)
     });
     let seq_cycles = seq.map(|s| s.total_cycles()).unwrap_or(0);
     // The hazard-resolution post-pass makes stall-freedom a scheduler
@@ -178,75 +181,31 @@ pub fn measure_machine(k: &Kernel, n: i64, desc: MachineDesc) -> MachineCell {
         speedup: if sched_cycles > 0 { seq_cycles as f64 / sched_cycles as f64 } else { f64::NAN },
         body_speedup: rep.speedup().unwrap_or(f64::NAN),
         schedule_rows: rep.steady.len(),
+        digest: schedule_digest(&g, &rep.region),
         verified,
         template_violations,
-        hazard_delay_rows: rep.stats.hazard_delay_rows,
-        hazard_backfills: rep.stats.hazard_backfills,
+        stats: rep.stats,
         timings: grip_obs::StageBreakdown::from_timings(&stage_timings),
         phases: rep.phases,
         audit_clean: rep.audit.as_ref().is_some_and(|a| a.is_clean()),
         audit_diagnostics: rep.audit.as_ref().map_or(0, |a| a.diagnostics.len()),
         bounds: rep.bounds,
-        grip_iterations: rep.stats.picks,
         unwind,
     }
 }
 
-/// Sweep every preset over every kernel on the service worker pool, one
-/// shard per kernel (the same layout the old scoped-thread loop had).
+/// Sweep every preset over every kernel, kernel by kernel: in one
+/// thread when the walls must be comparable, else one pool shard per
+/// kernel.
 pub fn machine_table(n: i64, parallel: bool) -> Vec<MachineCell> {
-    let ks = grip_kernels::kernels();
-    let presets = MachineDesc::presets();
     let sweep_kernel = move |k: &'static Kernel| -> Vec<MachineCell> {
-        presets.iter().map(|&d| measure_machine(k, n, d)).collect()
+        MachineDesc::presets().iter().map(|&d| measure_machine(k, n, d)).collect()
     };
-    if !parallel {
-        return ks.iter().flat_map(sweep_kernel).collect();
+    if parallel {
+        crate::per_kernel(sweep_kernel).into_iter().flatten().collect()
+    } else {
+        grip_kernels::kernels().iter().flat_map(sweep_kernel).collect()
     }
-    let pool: grip_service::pool::ShardedPool<&'static Kernel, Vec<MachineCell>> =
-        grip_service::pool::ShardedPool::new(ks.len(), |_| (), move |_, _, k, _| sweep_kernel(k));
-    pool.map_batch(ks.iter().enumerate()).into_iter().flatten().collect()
-}
-
-/// Re-measure, serially, any cell whose stage self-times fail to account
-/// for `min_cover` of its wall, and keep the re-measurement when it
-/// passes. The parallel sweep oversubscribes small machines (14 worker
-/// threads; CI runners have 1–2 cores), so one unlucky preemption landing
-/// *between* two stage spans parks the thread behind every other worker
-/// and shows up as tens of milliseconds of unaccounted wall — pure
-/// scheduling noise. A genuinely missing span fails serial re-measurement
-/// exactly the same way, so the gate keeps its teeth. Schedules are
-/// deterministic, so only the timing fields change; returns how many
-/// cells were re-measured.
-pub fn remeasure_unaccounted(cells: &mut [MachineCell], n: i64, min_cover: f64) -> usize {
-    let ks = grip_kernels::kernels();
-    let presets = MachineDesc::presets();
-    let mut redone = 0;
-    for cell in cells.iter_mut() {
-        let covered = |c: &MachineCell| {
-            c.timings.total_ns < 1_000_000
-                || c.timings.stage_sum_ns() as f64 >= min_cover * c.timings.total_ns as f64
-        };
-        if covered(cell) {
-            continue;
-        }
-        let (Some(k), Some(&desc)) = (
-            ks.iter().find(|k| k.name == cell.kernel),
-            presets.iter().find(|d| preset_label(d) == cell.machine),
-        ) else {
-            continue;
-        };
-        for _ in 0..2 {
-            let fresh = measure_machine(k, n, desc);
-            let ok = covered(&fresh);
-            *cell = fresh;
-            redone += 1;
-            if ok {
-                break;
-            }
-        }
-    }
-    redone
 }
 
 /// The `rustc --version` line of the `rustc` on `PATH`, or `unknown`.
@@ -263,15 +222,14 @@ fn rustc_version() -> String {
 }
 
 /// The whole sweep as one JSON document. It records the host's core
-/// count (`nproc`), whether the sweep ran serially (`seq`) and the
-/// compiler (`rustc`), because the per-cell walls depend on all three.
-pub fn machines_json(n: i64, cells: &[MachineCell], serial: bool) -> Json {
+/// count (`nproc`) and the compiler (`rustc`), because the per-cell walls
+/// depend on both.
+pub fn machines_json(n: i64, cells: &[MachineCell]) -> Json {
     let nproc = std::thread::available_parallelism().map_or(0, |p| p.get());
     Json::obj()
         .field("bench", "machines")
         .field("trip_count", n)
         .field("nproc", nproc)
-        .field("seq", serial)
         .field("rustc", rustc_version())
         .field(
             "machines",
@@ -343,6 +301,10 @@ mod tests {
         assert!(cell.speedup > 1.0, "{cell:?}");
         assert!(cell.schedule_rows > 0);
         assert!(cell.phases.total_ns() > 0, "pick-loop phase profile is empty: {cell:?}");
+        // Enough picks to sample both wrappers; the phases then partition
+        // the node loop, which sits inside the schedule stage.
+        assert!(cell.stats.picks > 64, "{cell:?}");
+        assert!(cell.phases.total_ns() <= cell.timings.schedule_ns, "{cell:?}");
         let json = cell.to_json().line();
         assert!(json.contains("\"sched_phases\""), "{json}");
     }

@@ -194,20 +194,15 @@ pub enum TraceEvent {
 ///   whose rows changed since they were last found alive, and the DCE /
 ///   empty-row passes between nodes.
 ///
-/// `cand_refresh` and `legality` are sampled: `Grip::pick_candidate` and
-/// `Grip::migrate` each read the clock on one call in 64 and charge that
-/// call's self time 64 times over, because two clock reads per pick cost
-/// about a fifth of a sweep. Over thousands of picks the sampled totals
-/// track those of a build that times every call; a run of fewer than 64
-/// picks reports zero for both. `commit` and `dead_sweep` are timed on
-/// every call.
-///
-/// The four phases don't cover the whole `grip` span (the hazard
-/// post-pass, the per-pick room check, and loop bookkeeping fall
-/// outside), so they are reported as self-times, not a decomposition.
-/// A timed call is measured on its own between two clock reads, while
-/// untimed calls overlap with their neighbours, so the sampled phases
-/// can add up to more than the span they sit in.
+/// The four phases partition the wall of the node loop in `Grip::run`.
+/// `commit` and `dead_sweep` are timed on every call. What they leave of
+/// the loop is split between `cand_refresh` and `legality` in the ratio
+/// of their samples: `Grip::pick_candidate` and `Grip::migrate` each read
+/// the clock on one call in 64, because two clock reads per pick cost
+/// about a fifth of a sweep. So the per-pick room check and the loop's
+/// bookkeeping fall into the split, and the hazard post-pass, which runs
+/// after the loop, falls outside. A run of fewer than 64 picks samples
+/// neither wrapper and reports zero for both.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Candidate-list refresh + scan nanoseconds.
@@ -251,35 +246,27 @@ pub struct ScheduleOutput {
 }
 
 /// `Grip::pick_candidate` and `Grip::migrate` read the clock on one call
-/// in `PHASE_SAMPLE` and charge its self time `PHASE_SAMPLE` times over.
+/// in `PHASE_SAMPLE`.
 const PHASE_SAMPLE: u64 = 64;
 
 /// The phase clock of one sampled wrapper (see [`PhaseTimes`]).
+#[derive(Default)]
 struct SampledClock {
     calls: u64,
-    /// The shortest interval two back-to-back clock reads measure. Every
-    /// sample includes one such read, which the unsampled calls do not
-    /// pay, so it comes off each sample before the scaling.
-    floor_ns: u64,
+    /// Summed self time of the sampled calls.
+    sampled_ns: u64,
 }
 
 impl SampledClock {
-    fn new() -> SampledClock {
-        let floor_ns = (0..8).map(|_| Instant::now().elapsed().as_nanos() as u64).min();
-        SampledClock { calls: 0, floor_ns: floor_ns.unwrap_or(0) }
-    }
-
     /// The start of this call's sample, when it is the sampled call.
     fn start(&mut self) -> Option<Instant> {
         self.calls += 1;
         (self.calls % PHASE_SAMPLE == 0).then(Instant::now)
     }
 
-    /// The sample's self time, less `nested_ns` attributed elsewhere,
-    /// scaled to the `PHASE_SAMPLE` calls it stands for.
-    fn charge(&self, t0: Instant, nested_ns: u64) -> u64 {
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        PHASE_SAMPLE * elapsed.saturating_sub(nested_ns + self.floor_ns)
+    /// Add the sample's self time, less `nested_ns` attributed elsewhere.
+    fn charge(&mut self, t0: Instant, nested_ns: u64) {
+        self.sampled_ns += (t0.elapsed().as_nanos() as u64).saturating_sub(nested_ns);
     }
 }
 
@@ -517,8 +504,8 @@ impl<'g, 'a> Grip<'g, 'a> {
             cand_cursor: 0,
             cand_start: 0,
             verdicts: Vec::new(),
-            pick_clock: SampledClock::new(),
-            migrate_clock: SampledClock::new(),
+            pick_clock: SampledClock::default(),
+            migrate_clock: SampledClock::default(),
             dead_start: usize::MAX,
             alive_at: Vec::new(),
             deletion_guard: DeletionGuard::default(),
@@ -563,6 +550,7 @@ impl<'g, 'a> Grip<'g, 'a> {
         // reads the clock or the registry, so schedules are bit-identical
         // with instrumentation on.
         let _span = grip_obs::span!("grip");
+        let loop_t0 = Instant::now();
         let mut i = 0;
         while i < self.region.len() {
             let n = self.region[i];
@@ -583,6 +571,7 @@ impl<'g, 'a> Grip<'g, 'a> {
             self.cleanup_empty_below(i);
             i = self.pos.get(n).map(|p| p + 1).unwrap_or(i);
         }
+        self.split_sampled(loop_t0.elapsed().as_nanos() as u64);
         // Hazard-resolution post-pass: upgrade the best-effort latency
         // guard to a hard invariant — after this, the schedule is
         // stall-free on its target machine (no-op under unit latencies).
@@ -601,6 +590,22 @@ impl<'g, 'a> Grip<'g, 'a> {
             region: self.region,
             phases: self.phases,
         }
+    }
+
+    /// Split what `commit` and `dead_sweep` leave of the node loop's wall
+    /// `loop_ns` between `cand_refresh` and `legality`, in the ratio of
+    /// their samples (see [`PhaseTimes`]). With neither wrapper sampled,
+    /// both stay zero.
+    fn split_sampled(&mut self, loop_ns: u64) {
+        let (pick, migrate) = (self.pick_clock.sampled_ns, self.migrate_clock.sampled_ns);
+        let sampled = u128::from(pick) + u128::from(migrate);
+        if sampled == 0 {
+            return;
+        }
+        let p = &mut self.phases;
+        let rest = loop_ns.saturating_sub(p.commit_ns + p.dead_sweep_ns);
+        p.cand_refresh_ns = (u128::from(rest) * u128::from(pick) / sampled) as u64;
+        p.legality_ns = rest - p.cand_refresh_ns;
     }
 
     /// `procedure schedule(n)`: fill `n` with the best moveable operations.
@@ -692,8 +697,9 @@ impl<'g, 'a> Grip<'g, 'a> {
     ///
     /// Timing wrapper: on one call in `PHASE_SAMPLE`, the call's self time
     /// (minus whatever the nested [`Grip::sweep_dead`] attributed to
-    /// `dead_sweep`) is charged `PHASE_SAMPLE` times to `cand_refresh`.
-    /// Reading the clock changes no decision.
+    /// `dead_sweep`) joins the `cand_refresh` sample that
+    /// [`Grip::split_sampled`] reads. Reading the clock changes no
+    /// decision.
     fn pick_candidate(&mut self, n: NodeId, replay: bool) -> Option<OpId> {
         let Some(t0) = self.pick_clock.start() else {
             return self.pick_candidate_inner(n, replay);
@@ -701,7 +707,7 @@ impl<'g, 'a> Grip<'g, 'a> {
         let sweep_before = self.phases.dead_sweep_ns;
         let out = self.pick_candidate_inner(n, replay);
         let swept = self.phases.dead_sweep_ns - sweep_before;
-        self.phases.cand_refresh_ns += self.pick_clock.charge(t0, swept);
+        self.pick_clock.charge(t0, swept);
         out
     }
 
@@ -932,10 +938,11 @@ impl<'g, 'a> Grip<'g, 'a> {
     /// the Gapless-move test.
     ///
     /// Timing wrapper: on one call in `PHASE_SAMPLE`, the call's self time
-    /// minus the apply sections [`Grip::hop`] attributes to `commit` is
-    /// charged `PHASE_SAMPLE` times to `legality` — so the probe chain
-    /// (parent search, room checks, latency guard, gapless test, plan dry
-    /// runs) is measured separately from committed mutation.
+    /// minus the apply sections [`Grip::hop`] attributes to `commit` joins
+    /// the `legality` sample that [`Grip::split_sampled`] reads — so the
+    /// probe chain (parent search, room checks, latency guard, gapless
+    /// test, plan dry runs) is measured separately from committed
+    /// mutation.
     fn migrate(&mut self, n: NodeId, op: OpId) -> Migrated {
         let Some(t0) = self.migrate_clock.start() else {
             return self.migrate_inner(n, op);
@@ -943,7 +950,7 @@ impl<'g, 'a> Grip<'g, 'a> {
         let commit_before = self.phases.commit_ns;
         let out = self.migrate_inner(n, op);
         let committed = self.phases.commit_ns - commit_before;
-        self.phases.legality_ns += self.migrate_clock.charge(t0, committed);
+        self.migrate_clock.charge(t0, committed);
         out
     }
 

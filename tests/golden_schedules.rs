@@ -5,9 +5,10 @@
 //! listing + region row order), the steady row count, and the
 //! latency-aware model cycles for every machine preset × Livermore
 //! kernel, captured from the scheduler *before* the hot-loop rewrite.
-//! This test recomputes each cell with the current build and asserts the
-//! digest is unchanged — any drift in candidate order, renaming, landing
-//! rows, or residue fails loudly.
+//! This test recomputes each cell with the current build, through the
+//! `machines` sweep's own `measure_machine`, and asserts the digest is
+//! unchanged — any drift in candidate order, renaming, landing rows, or
+//! residue fails loudly.
 //!
 //! Every cell, waived or not, also pins every scheduler counter of
 //! `ScheduleStats` (`picks`, `resource_blocks`, `latency_blocks`, …),
@@ -25,7 +26,7 @@
 //! when `GOLDEN_FULL` is set; debug test runs cover a four-kernel
 //! column of the grid to keep `cargo test` fast.
 
-use grip_bench::golden::{golden_cell, golden_table};
+use grip_bench::machines::{machine_table, measure_machine};
 use grip_json::Json;
 use grip_machine::MachineDesc;
 use std::collections::HashMap;
@@ -66,13 +67,13 @@ fn schedules_match_pinned_goldens() {
 
     let full = !cfg!(debug_assertions) || std::env::var("GOLDEN_FULL").is_ok();
     let cells = if full {
-        golden_table(n, true)
+        machine_table(n, true)
     } else {
         let presets = MachineDesc::presets();
         grip_kernels::kernels()
             .iter()
             .filter(|k| QUICK_KERNELS.contains(&k.name))
-            .flat_map(|k| presets.iter().map(move |&d| golden_cell(k, n, d)))
+            .flat_map(|k| presets.iter().map(move |&d| measure_machine(k, n, d)))
             .collect()
     };
     assert!(!cells.is_empty());
@@ -100,12 +101,12 @@ fn schedules_match_pinned_goldens() {
                 cell.sched_cycles
             );
             assert!(
-                cell.rows as i64 <= rows,
+                cell.schedule_rows as i64 <= rows,
                 "{}/{}: waived cell regressed rows {} -> {}",
                 key.0,
                 key.1,
                 rows,
-                cell.rows
+                cell.schedule_rows
             );
         } else {
             assert_eq!(
@@ -116,11 +117,11 @@ fn schedules_match_pinned_goldens() {
                 key.0,
                 key.1,
                 rows,
-                cell.rows,
+                cell.schedule_rows,
                 cycles,
                 cell.sched_cycles
             );
-            assert_eq!(cell.rows as i64, rows, "{}/{}: rows", key.0, key.1);
+            assert_eq!(cell.schedule_rows as i64, rows, "{}/{}: rows", key.0, key.1);
             assert_eq!(cell.sched_cycles as i64, cycles, "{}/{}: sched_cycles", key.0, key.1);
         }
         checked += 1;
