@@ -1,11 +1,8 @@
-//! Compare two benchmark documents and gate on regressions: the CI perf
-//! layer's semantic diff.
+//! Compare two machine sweeps (`BENCH_machines.json`) and gate on
+//! regressions: the CI perf layer's semantic diff.
 //!
 //! The committed sweep is the baseline; a fresh sweep is the candidate.
-//! The diff dispatches on the document's top-level `bench` field:
-//!
-//! **`machines`** (`BENCH_machines.json`) — every (machine × kernel)
-//! cell is held to:
+//! Every (machine × kernel) cell is held to:
 //!
 //! - **bit-identity fields**: `verified`, `audit_clean`,
 //!   `template_violations == 0` and `sched_stalls == 0` may never regress
@@ -17,18 +14,11 @@
 //!   the baseline — the one cost figure that repeats exactly from run to
 //!   run, so it gates where wall times cannot;
 //! - **bound soundness**: a candidate cell may not undercut its own
-//!   `bound_cycles` certificate.
+//!   bound certificate, in rows or in cycles (`grip_service::bound_sound`).
 //!
-//! **`service`** (`BENCH_service.json`) — the service-path gates:
-//!
-//! - the candidate must report `verification_failures == 0`;
-//! - the cache hit rate may not drop below the baseline (beyond a 1%
-//!   absolute tolerance — the sweep's shuffle order is seeded, so the
-//!   hit/miss split is deterministic for matching parameters).
-//!
-//! Wall-clock fields (`*_us`, the `sched_phases` totals of the pick loop,
-//! `requests_per_sec`, cold-stage p50/p99) are *reported* as deltas but
-//! not gated here — timing is machine-dependent.
+//! Wall-clock fields (`*_us` and the `sched_phases` totals of the pick
+//! loop) are *reported* as deltas but not gated here — timing is
+//! machine-dependent.
 //!
 //! Usage: `bench-diff <baseline.json> <candidate.json>`
 //! Exits nonzero on any gate breach, printing a regression table.
@@ -36,6 +26,8 @@
 #![forbid(unsafe_code)]
 
 use grip_bench::json::Json;
+use grip_bounds::BoundCertificate;
+use grip_service::bound_sound;
 use std::collections::BTreeMap;
 
 /// The per-cell fields the machines diff consumes.
@@ -47,7 +39,8 @@ struct Cell {
     sched_stalls: i64,
     sched_cycles: i64,
     schedule_rows: i64,
-    bound_cycles: i64,
+    /// The cell passes `bound_sound` against its own certificate.
+    bound_sound: bool,
     hazard_delay_rows: i64,
     hazard_backfills: i64,
     grip_iterations: i64,
@@ -62,9 +55,6 @@ const STAGES: [&str; 7] =
 /// The pick-loop phases of a cell's `sched_phases` object.
 const PHASES: [&str; 4] = ["cand_refresh_us", "legality_us", "commit_us", "dead_sweep_us"];
 
-/// The cold-path stages `BENCH_service.json` reports p50/p99 for.
-const SERVICE_STAGES: [&str; 6] = ["prepare", "schedule", "hazards", "verify", "audit", "bounds"];
-
 fn load_doc(path: &str) -> Json {
     let src = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("bench-diff: cannot read {path}: {e}"));
@@ -75,6 +65,7 @@ fn load_cells(path: &str, doc: &Json) -> BTreeMap<(String, String), Cell> {
     let cells = doc.get("cells").and_then(Json::as_arr).unwrap_or_else(|| {
         panic!("bench-diff: {path}: no `cells` array — not a BENCH_machines.json?")
     });
+    let n = doc.get("trip_count").and_then(Json::as_i64).unwrap_or(0);
     let mut out = BTreeMap::new();
     for c in cells {
         let s = |k: &str| c.get(k).and_then(Json::as_str).unwrap_or("").to_string();
@@ -90,7 +81,10 @@ fn load_cells(path: &str, doc: &Json) -> BTreeMap<(String, String), Cell> {
                 sched_stalls: i("sched_stalls"),
                 sched_cycles: i("sched_cycles"),
                 schedule_rows: i("schedule_rows"),
-                bound_cycles: i("bound_cycles"),
+                bound_sound: BoundCertificate::from_json(c).is_ok_and(|cert| {
+                    let (unwind, rows) = (i("unwind") as usize, i("schedule_rows") as usize);
+                    bound_sound(&cert, n, unwind, rows, i("sched_cycles") as u64)
+                }),
                 hazard_delay_rows: i("hazard_delay_rows"),
                 hazard_backfills: i("hazard_backfills"),
                 grip_iterations: i("grip_iterations"),
@@ -112,104 +106,8 @@ fn main() {
     };
     let base_doc = load_doc(base_path);
     let cand_doc = load_doc(cand_path);
-    let kind = |doc: &Json| doc.get("bench").and_then(Json::as_str).map(str::to_string);
-    let (bk, ck) = (kind(&base_doc), kind(&cand_doc));
-    if bk != ck {
-        eprintln!(
-            "bench-diff: document kinds differ: {base_path} is {bk:?}, {cand_path} is {ck:?}"
-        );
-        std::process::exit(2);
-    }
-    match bk.as_deref() {
-        Some("service") => diff_service(&base_doc, &cand_doc),
-        // `machines` documents predate the `bench` tag; anything with a
-        // `cells` array takes the machines path.
-        _ => diff_machines(base_path, &base_doc, cand_path, &cand_doc),
-    }
-}
-
-/// Diff two `BENCH_service.json` documents: gate verification failures
-/// and the cache hit rate, report throughput and per-stage latency drift.
-fn diff_service(base: &Json, cand: &Json) {
-    let f = |doc: &Json, k: &str| doc.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-    let i = |doc: &Json, k: &str| doc.get(k).and_then(Json::as_i64).unwrap_or(0);
-
-    let mut regressions: Vec<String> = Vec::new();
-
-    let failures = i(cand, "verification_failures");
-    if failures != 0 {
-        regressions.push(format!("candidate reports {failures} verification failures (want 0)"));
-    }
-    // The hit rate is a function of the sweep shape (repeat - 1 of every
-    // `repeat` requests per cell hit), so the no-drop gate is only
-    // like-for-like when the parameters match; otherwise it degrades to
-    // a reported delta.
-    let same_params =
-        i(base, "trip_count") == i(cand, "trip_count") && i(base, "repeat") == i(cand, "repeat");
-    let (hr_b, hr_c) = (f(base, "cache_hit_rate"), f(cand, "cache_hit_rate"));
-    if same_params && hr_c + 0.01 < hr_b {
-        regressions.push(format!(
-            "cache hit rate dropped {:.1}% -> {:.1}% (caches stopped converging?)",
-            100.0 * hr_b,
-            100.0 * hr_c
-        ));
-    }
-    if !same_params {
-        println!(
-            "note: sweep parameters differ (n {} repeat {} -> n {} repeat {}); \
-             hit-rate gate skipped, drift below is not like-for-like",
-            i(base, "trip_count"),
-            i(base, "repeat"),
-            i(cand, "trip_count"),
-            i(cand, "repeat"),
-        );
-    }
-
-    let rps = (f(base, "requests_per_sec"), f(cand, "requests_per_sec"));
-    let ratio = if rps.0 > 0.0 { rps.1 / rps.0 } else { f64::NAN };
-    println!(
-        "requests/s   {:>10.1} -> {:>10.1}   ({ratio:>5.2}x)   hit rate {:>5.1}% -> {:>5.1}%",
-        rps.0,
-        rps.1,
-        100.0 * hr_b,
-        100.0 * hr_c
-    );
-    println!(
-        "overall p50  {:>10.1} us -> {:>10.1} us; p99 {:>12.1} us -> {:>12.1} us",
-        f(base, "p50_us"),
-        f(cand, "p50_us"),
-        f(base, "p99_us"),
-        f(cand, "p99_us"),
-    );
-    println!("\ncold-stage latency drift (baseline -> candidate, not gated):");
-    println!(
-        "  {:<10} {:>12} {:>12} {:>7}   {:>14} {:>14} {:>7}",
-        "stage", "p50 b", "p50 c", "", "p99 b", "p99 c", ""
-    );
-    for stage in SERVICE_STAGES {
-        let pick = |doc: &Json, q: &str| {
-            doc.get("stages_cold")
-                .and_then(|s| s.get(stage))
-                .and_then(|s| s.get(q))
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0)
-        };
-        let (p50b, p50c) = (pick(base, "p50_us"), pick(cand, "p50_us"));
-        let (p99b, p99c) = (pick(base, "p99_us"), pick(cand, "p99_us"));
-        let r = |b: f64, c: f64| if c > 0.0 { b / c } else { f64::NAN };
-        println!(
-            "  {stage:<10} {p50b:>12.1} {p50c:>12.1} {:>6.1}x   {p99b:>14.1} {p99c:>14.1} {:>6.1}x",
-            r(p50b, p50c),
-            r(p99b, p99c),
-        );
-    }
-
-    report(regressions, "service document");
-}
-
-fn diff_machines(base_path: &str, base_doc: &Json, cand_path: &str, cand_doc: &Json) {
-    let base = load_cells(base_path, base_doc);
-    let cand = load_cells(cand_path, cand_doc);
+    let base = load_cells(base_path, &base_doc);
+    let cand = load_cells(cand_path, &cand_doc);
 
     let mut regressions: Vec<String> = Vec::new();
 
@@ -288,10 +186,10 @@ fn diff_machines(base_path: &str, base_doc: &Json, cand_path: &str, cand_doc: &J
             ));
         }
         // Bound soundness: the candidate may not undercut its own proof.
-        if c.schedule_rows < c.bound_cycles {
+        if !c.bound_sound {
             regressions.push(format!(
-                "{cell}: bound violation: {} rows below proven bound {}",
-                c.schedule_rows, c.bound_cycles
+                "{cell}: bound violation: {} rows and {} cycles undercut the proven bound",
+                c.schedule_rows, c.sched_cycles
             ));
         }
         for &s in &STAGES {
@@ -349,7 +247,15 @@ fn diff_machines(base_path: &str, base_doc: &Json, cand_path: &str, cand_doc: &J
         }
     }
 
-    report(regressions, &format!("{} cells", base.len()));
+    if regressions.is_empty() {
+        println!("\nbench-diff: no regressions across {} cells.", base.len());
+    } else {
+        println!("\nREGRESSIONS:");
+        for r in &regressions {
+            println!("  {r}");
+        }
+        std::process::exit(1);
+    }
 }
 
 /// One `baseline -> candidate` total line, in ms, with the speed ratio.
@@ -360,16 +266,4 @@ fn print_total(name: &str, base_us: f64, cand_us: f64) {
         base_us / 1e3,
         cand_us / 1e3
     );
-}
-
-fn report(regressions: Vec<String>, what: &str) {
-    if regressions.is_empty() {
-        println!("\nbench-diff: no regressions across {what}.");
-    } else {
-        println!("\nREGRESSIONS:");
-        for r in &regressions {
-            println!("  {r}");
-        }
-        std::process::exit(1);
-    }
 }

@@ -5,9 +5,12 @@
 //!
 //! Every cell is backed by a bitwise simulation equivalence check, the
 //! simulator's issue-template validation, the grip-audit static verifier
-//! — any diagnostic fails the sweep — and the grip-bounds soundness gate:
-//! no cell may achieve fewer steady rows than its proven lower bound, nor
-//! fewer VM cycles than the bound scaled by its full-traversal count.
+//! — any diagnostic fails the sweep — and the grip-bounds soundness gate
+//! (`grip_service::bound_sound`): no cell may achieve fewer steady rows
+//! than its proven lower bound, nor fewer VM cycles than the bound scaled
+//! by its full-traversal count. Each cell's stage timings must also
+//! account for its wall (`StageBreakdown::covers_wall`), or a stage span
+//! is missing.
 //!
 //! Usage: `machines [trip-count]` (default n = 100). The sweep runs
 //! serially, cell after cell, so the per-cell walls it records are
@@ -16,6 +19,7 @@
 #![forbid(unsafe_code)]
 
 use grip_bench::machines::{machine_table, machines_json, render_machines};
+use grip_service::bound_sound;
 
 fn main() {
     let n = grip_bench::sweep_args("machines [trip-count]", 100, None);
@@ -42,35 +46,11 @@ fn main() {
         })
         .collect();
 
-    // Bound-soundness gate: the certificate bounds one full traversal of
-    // the steady window, so the achieved rows may never undercut it, and
-    // neither may the measured wall clock (trips always exceed the unwind
-    // here, so at least one full pass runs). Stronger, the trip count —
-    // at least `n - 5`, the deepest kernel induction offset (LL4) —
-    // forces `trip/unwind - 2` complete steady traversals (slack for the
-    // prologue pass and the final partial one), each costing the bound.
     let unsound: Vec<&_> = cells
         .iter()
-        .filter(|c| {
-            let trip = (n.max(5) - 5) as u64;
-            let traversals = if c.unwind > 0 && trip >= c.unwind as u64 {
-                (trip / c.unwind as u64).saturating_sub(2).max(1)
-            } else {
-                0
-            };
-            (c.schedule_rows as u64) < c.bounds.bound_cycles
-                || c.sched_cycles < traversals * c.bounds.bound_cycles
-        })
+        .filter(|c| !bound_sound(&c.bounds, n, c.unwind, c.schedule_rows, c.sched_cycles))
         .collect();
-
-    // Timing gate: the per-stage self times must decompose each cell's
-    // wall time — unaccounted time beyond 5% means a stage span is
-    // missing. Cells under 1 ms are skipped (timer noise dominates).
-    let unaccounted: Vec<&_> = cells
-        .iter()
-        .filter(|c| c.timings.total_ns >= 1_000_000)
-        .filter(|c| (c.timings.stage_sum_ns() as f64) < 0.95 * c.timings.total_ns as f64)
-        .collect();
+    let unaccounted: Vec<&_> = cells.iter().filter(|c| !c.timings.covers_wall()).collect();
 
     if bad.is_empty() && unsound.is_empty() && unaccounted.is_empty() {
         let at_bound = cells.iter().filter(|c| c.bounds.at_bound).count();

@@ -1,54 +1,40 @@
-//! Throughput bench for the scheduling service: drive a ~1000-request
-//! mixed sweep (all machine presets × LL1–LL14, repeated and shuffled)
-//! through an in-process [`grip_service::Service`] and emit
-//! `BENCH_service.json` — requests/sec, cache hit rate, p50/p99 request
-//! latency, plus the aggregate cache counters.
+//! Gate the scheduling service end to end: drive the mixed sweep (every
+//! preset × LL1–LL14, four times over, shuffled) through an in-process
+//! [`grip_service::Service`], with every request asking for its stage
+//! timings, audit report and bound certificate.
 //!
-//! Gates (exit nonzero on violation):
-//! * every response `ok`, VM-verified, with 0 stall cycles, 0 template
-//!   violations, an attached grip-audit report with zero diagnostics,
-//!   and a sound grip-bounds certificate (no response beats its proven
-//!   lower bound) — the stall-free invariant, the static audit, and the
-//!   bound soundness gate through the service path;
-//! * every cache-hit response bit-identical to the first (cold) response
-//!   for the same work;
-//! * with repeats, a nonzero schedule-cache hit count;
-//! * per-stage times (prepare/schedule/hazards/verify/audit) summing to
-//!   within
-//!   5% of each cold response's wall time (≥ 1 ms walls only — below
-//!   that, timer noise dominates).
+//! Gates (exit 1 on any violation):
+//! * every response passes `ScheduleResponse::fault` (ok, VM-verified,
+//!   0 stall cycles, 0 template violations, a clean audit report, a
+//!   sound bound certificate) and carries both reports;
+//! * every cache hit is bit-identical to its own cold run, and the sweep
+//!   has at least one hit;
+//! * every cold response's stage timings account for its wall
+//!   (`StageBreakdown::covers_wall`: at least 95% of a wall of 1 ms or
+//!   more), or a stage span is missing.
 //!
-//! Usage: `service [trip-count] [--repeat K] [--shards N] [--seed S]`
-//! (defaults: n = 48, repeat = 12 → 1008 requests).
+//! The bin records nothing; gripbench measures the service path's wall
+//! clock.
+//!
+//! Usage: `service [trip-count]` (default n = 48). Any other argument
+//! exits 2.
 
 #![forbid(unsafe_code)]
 
-use grip_bench::json::Json;
-use grip_service::workload::{mixed_workload, percentile};
+use grip_service::workload::mixed_workload;
 use grip_service::{CacheStatus, ScheduleResponse, Service, ServiceConfig};
 use std::collections::HashMap;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut n: i64 = 48;
-    let mut repeat: usize = 12;
-    let mut shards: usize = 0;
-    let mut seed: u64 = 0x9fb3;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--repeat" => repeat = it.next().and_then(|v| v.parse().ok()).expect("--repeat K"),
-            "--shards" => shards = it.next().and_then(|v| v.parse().ok()).expect("--shards N"),
-            "--seed" => seed = it.next().and_then(|v| v.parse().ok()).expect("--seed S"),
-            v => n = v.parse().expect("usage: service [n] [--repeat K] [--shards N] [--seed S]"),
-        }
-    }
+/// Each (kernel × preset) cell is requested this many times.
+const REPEAT: usize = 4;
+/// The sweep's shuffle seed.
+const SEED: u64 = 0x9fb3;
 
-    let service = Service::new(ServiceConfig { shards, ..Default::default() });
-    // Every request opts into the per-stage breakdown, the static audit
-    // report, and the bound certificate; all three ride outside bits_eq,
-    // so the bit-identity gate below is unaffected.
-    let reqs: Vec<_> = mixed_workload(n, repeat, seed)
+fn main() {
+    let n = grip_bench::sweep_args("service [trip-count]", 48, None);
+
+    let service = Service::new(ServiceConfig::default());
+    let reqs: Vec<_> = mixed_workload(n, REPEAT, SEED)
         .into_iter()
         .map(|mut r| {
             r.want_timings = true;
@@ -59,190 +45,56 @@ fn main() {
         .collect();
     let total = reqs.len();
     eprintln!(
-        "service sweep: {} requests ({} unique cells × {repeat}), n = {n}, {} shards …",
-        total,
-        total / repeat.max(1),
+        "service sweep: {total} requests ({} cells × {REPEAT}), n = {n}, {} shards …",
+        total / REPEAT,
         service.shards()
     );
-
-    let t0 = std::time::Instant::now();
     let responses = service.submit_batch(reqs.clone());
-    let wall = t0.elapsed();
 
-    // Gate 1: verified, stall-free, template-clean, audit-clean,
-    // everywhere. Every request opted in, so a missing report is itself
-    // a violation.
     let mut violations: Vec<String> = Vec::new();
-    for r in &responses {
-        let audit_clean = r.audit.as_ref().is_some_and(|a| a.is_clean());
-        // Certificate soundness: the bound covers one full traversal of
-        // the steady window; a trip of at least `n - 5` iterations (the
-        // deepest kernel induction offset) forces `trip/unwind - 2`
-        // complete traversals. A missing certificate is itself a
-        // violation (every request opted in), as is one the schedule
-        // beat.
-        let bound_sound = r.bounds.as_ref().is_some_and(|b| {
-            let trip = (r.n.max(5) - 5) as u64;
-            let traversals = if r.unwind > 0 && trip >= r.unwind as u64 {
-                (trip / r.unwind as u64).saturating_sub(2).max(1)
-            } else {
-                0
-            };
-            (r.schedule_rows as u64) >= b.bound_cycles
-                && r.sched_cycles >= traversals * b.bound_cycles
-        });
-        if !r.ok
-            || !r.verified
-            || r.sched_stalls != 0
-            || r.template_violations != 0
-            || !audit_clean
-            || !bound_sound
-        {
-            violations.push(format!(
-                "{} on {}: ok={} verified={} stalls={} templates={} audit={} bounds={} {}",
-                r.kernel,
-                r.machine,
-                r.ok,
-                r.verified,
-                r.sched_stalls,
-                r.template_violations,
-                r.audit.as_ref().map_or("missing".to_string(), |a| a.summary()),
-                r.bounds.as_ref().map_or("missing".to_string(), |b| b.summary()),
-                r.error.as_deref().unwrap_or("")
-            ));
-        }
-    }
-    // Gate 2: every hit bit-identical to the first response for its cell
-    // (cell = the engine's schedule-cache key, option bits included, so a
-    // future options-varying workload cannot cross-compare cells).
+    // The first response of each cell (the engine's schedule-cache key,
+    // option bits included) is its cold run; every later one must match
+    // it bit for bit.
     let mut first: HashMap<(u64, u64, usize, u8), &ScheduleResponse> = HashMap::new();
     for (req, r) in reqs.iter().zip(&responses) {
+        let at = format!("{} on {}", r.kernel, r.machine);
+        violations.extend(r.fault());
+        if r.audit.is_none() || r.bounds.is_none() {
+            violations.push(format!("{at}: audit report or bound certificate missing"));
+        }
+        match &r.timings {
+            None => violations.push(format!("{at}: response missing timings")),
+            Some(t) if r.cache != CacheStatus::Hit && !t.covers_wall() => violations.push(format!(
+                "{at}: stage sum {} ns accounts for <95% of wall {} ns",
+                t.stage_sum_ns(),
+                t.total_ns
+            )),
+            Some(_) => {}
+        }
         let key = (r.kernel_hash, r.machine_fp, r.unwind, req.options.bits());
         match first.get(&key) {
+            Some(f) if !r.bits_eq(f) => {
+                violations.push(format!("{at}: cached response diverged from cold run"))
+            }
+            Some(_) => {}
             None => {
                 first.insert(key, r);
-            }
-            Some(f) => {
-                if !r.bits_eq(f) {
-                    violations.push(format!(
-                        "{} on {}: cached response diverged from cold run",
-                        r.kernel, r.machine
-                    ));
-                }
             }
         }
     }
     let hits = responses.iter().filter(|r| r.cache == CacheStatus::Hit).count();
-    let ddg_hits = responses.iter().filter(|r| r.cache == CacheStatus::DdgHit).count();
-    if repeat > 1 && hits == 0 {
+    if hits == 0 {
         violations.push("repeated sweep produced no schedule-cache hits".to_string());
-    }
-
-    // Gate 3: per-stage times must decompose each cold response's wall
-    // time (unaccounted > 5% means a missing span). Hits are skipped —
-    // a cache hit does no stage work — as are sub-millisecond walls,
-    // where timer noise dominates.
-    let mut stage_ns: HashMap<&str, Vec<u64>> = HashMap::new();
-    for r in &responses {
-        let Some(t) = &r.timings else {
-            violations.push(format!("{} on {}: response missing timings", r.kernel, r.machine));
-            continue;
-        };
-        if r.cache == CacheStatus::Hit {
-            continue;
-        }
-        for (stage, ns) in [
-            ("prepare", t.prepare_ns),
-            ("schedule", t.schedule_ns),
-            ("hazards", t.hazards_ns),
-            ("verify", t.verify_ns),
-            ("audit", t.audit_ns),
-            ("bounds", t.bounds_ns),
-        ] {
-            stage_ns.entry(stage).or_default().push(ns);
-        }
-        if r.wall_ns >= 1_000_000 && (t.stage_sum_ns() as f64) < 0.95 * r.wall_ns as f64 {
-            violations.push(format!(
-                "{} on {}: stage sum {} ns accounts for <95% of wall {} ns",
-                r.kernel,
-                r.machine,
-                t.stage_sum_ns(),
-                r.wall_ns
-            ));
-        }
-    }
-    let us = |ns: u64| ns as f64 / 1000.0;
-    let stage_pcts = |stage: &str| {
-        let mut v = stage_ns.get(stage).cloned().unwrap_or_default();
-        v.sort_unstable();
-        (us(percentile(&v, 0.50)), us(percentile(&v, 0.99)))
-    };
-
-    let mut lat: Vec<u64> = responses.iter().map(|r| r.wall_ns).collect();
-    lat.sort_unstable();
-    let hit_rate = hits as f64 / total.max(1) as f64;
-    let rps = total as f64 / wall.as_secs_f64().max(1e-9);
-    let stats = service.stats();
-
-    println!("service throughput over the mixed sweep");
-    println!("=======================================");
-    println!("requests:        {total} ({} unique cells)", first.len());
-    println!("wall time:       {:.2?}", wall);
-    println!("requests/sec:    {rps:.1}");
-    println!("cache hit rate:  {:.1}% ({hits} hits, {ddg_hits} ddg hits)", 100.0 * hit_rate);
-    println!(
-        "latency:         p50 {:.1} us, p99 {:.1} us, max {:.1} us",
-        us(percentile(&lat, 0.50)),
-        us(percentile(&lat, 0.99)),
-        us(lat.last().copied().unwrap_or(0))
-    );
-    println!("cold stage p50s: {}", {
-        let mut parts = Vec::new();
-        for stage in ["prepare", "schedule", "hazards", "verify", "audit", "bounds"] {
-            parts.push(format!("{stage} {:.1} us", stage_pcts(stage).0));
-        }
-        parts.join(", ")
-    });
-
-    let stages_json = ["prepare", "schedule", "hazards", "verify", "audit", "bounds"]
-        .into_iter()
-        .fold(Json::obj(), |acc, stage| {
-            let (p50, p99) = stage_pcts(stage);
-            acc.field(stage, Json::obj().field("p50_us", p50).field("p99_us", p99))
-        });
-    let json = Json::obj()
-        .field("bench", "service")
-        .field("trip_count", n as u64)
-        .field("repeat", repeat)
-        .field("requests", total)
-        .field("unique_cells", first.len())
-        .field("shards", service.shards())
-        .field("wall_s", wall.as_secs_f64())
-        .field("requests_per_sec", rps)
-        .field("cache_hits", hits)
-        .field("ddg_hits", ddg_hits)
-        .field("cache_hit_rate", hit_rate)
-        .field("p50_us", us(percentile(&lat, 0.50)))
-        .field("p90_us", us(percentile(&lat, 0.90)))
-        .field("p99_us", us(percentile(&lat, 0.99)))
-        .field("max_us", us(lat.last().copied().unwrap_or(0)))
-        .field("stages_cold", stages_json)
-        .field("verification_failures", violations.len())
-        .field("service_stats", stats.to_json());
-    let path = "BENCH_service.json";
-    match std::fs::write(path, json.pretty()) {
-        Ok(()) => eprintln!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncould not write {path}: {e}"),
     }
 
     if violations.is_empty() {
         println!(
-            "\nAll {total} responses verified, stall-free, template-clean, \
-             audit-clean, bound-sound; every cache hit bit-identical to its \
-             cold run."
+            "All {total} responses verified, stall-free, template-clean, audit-clean, \
+             bound-sound; all {hits} cache hits bit-identical to their cold runs; every \
+             cold response's stage timings account for its wall."
         );
     } else {
-        println!("\nVIOLATIONS:");
+        println!("VIOLATIONS:");
         for v in &violations {
             println!("  {v}");
         }

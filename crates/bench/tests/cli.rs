@@ -34,3 +34,11 @@ fn golden_digests_refuses_the_seq_flag() {
 fn table1_refuses_the_seq_flag() {
     refuses(env!("CARGO_BIN_EXE_table1"), "table1", &["48", "--seq"]);
 }
+
+#[test]
+fn service_refuses_its_retired_flags() {
+    let bin = env!("CARGO_BIN_EXE_service");
+    refuses(bin, "service-repeat", &["32", "--repeat", "4"]);
+    refuses(bin, "service-shards", &["32", "--shards", "2"]);
+    refuses(bin, "service-seed", &["32", "--seed", "7"]);
+}

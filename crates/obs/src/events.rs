@@ -123,7 +123,6 @@ impl FlightRecord {
     /// JSON shape (digest as a 16-hex string, matching the protocol's
     /// digest fields; `slow` elided when absent).
     pub fn to_json(&self) -> Json {
-        let s = &self.stages;
         let mut j = Json::obj()
             .field("trace", self.trace_id.as_str())
             .field("kernel", self.kernel.as_str())
@@ -137,17 +136,7 @@ impl FlightRecord {
             .field("finish_ns", self.finish_ns)
             .field("queue_wait_ns", self.queue_wait_ns)
             .field("wall_ns", self.wall_ns)
-            .field(
-                "stages",
-                Json::obj()
-                    .field("prepare_ns", s.prepare_ns)
-                    .field("schedule_ns", s.schedule_ns)
-                    .field("hazards_ns", s.hazards_ns)
-                    .field("verify_ns", s.verify_ns)
-                    .field("audit_ns", s.audit_ns)
-                    .field("bounds_ns", s.bounds_ns)
-                    .field("total_ns", s.total_ns),
-            )
+            .field("stages", self.stages.to_json())
             .field("audit_diagnostics", self.audit_diagnostics)
             .field("bound_cycles", self.bound_cycles)
             .field("at_bound", self.at_bound)
@@ -164,18 +153,6 @@ impl FlightRecord {
         let s = |name: &str| j.get(name).and_then(Json::as_str).unwrap_or("").to_string();
         let u = |name: &str| j.get(name).and_then(Json::as_i64).unwrap_or(0).max(0) as u64;
         let b = |name: &str| j.get(name).and_then(Json::as_bool).unwrap_or(false);
-        let stages = j.get("stages").map_or(StageBreakdown::default(), |t| {
-            let tu = |name: &str| t.get(name).and_then(Json::as_i64).unwrap_or(0).max(0) as u64;
-            StageBreakdown {
-                prepare_ns: tu("prepare_ns"),
-                schedule_ns: tu("schedule_ns"),
-                hazards_ns: tu("hazards_ns"),
-                verify_ns: tu("verify_ns"),
-                audit_ns: tu("audit_ns"),
-                bounds_ns: tu("bounds_ns"),
-                total_ns: tu("total_ns"),
-            }
-        });
         FlightRecord {
             trace_id: s("trace"),
             kernel: s("kernel"),
@@ -189,7 +166,7 @@ impl FlightRecord {
             finish_ns: u("finish_ns"),
             queue_wait_ns: u("queue_wait_ns"),
             wall_ns: u("wall_ns"),
-            stages,
+            stages: j.get("stages").map_or(StageBreakdown::default(), StageBreakdown::from_json),
             audit_diagnostics: u("audit_diagnostics"),
             bound_cycles: u("bound_cycles"),
             at_bound: b("at_bound"),

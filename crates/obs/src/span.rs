@@ -20,6 +20,7 @@
 //! disjoint pieces, so summing every stage of a request can be compared
 //! against its wall time — the "no unaccounted time" bench gate.
 
+use grip_json::Json;
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -65,9 +66,9 @@ impl StageTimings {
 }
 
 /// The fixed wire shape of a request's stage breakdown: the six stages
-/// the protocol and both bench JSONs report, in nanoseconds. `build`
-/// (kernel construction + hashing) is folded into `prepare`; `grip`
-/// (the scheduler proper) into `schedule`.
+/// the protocol, the flight recorder and the machines sweep report, in
+/// nanoseconds. `build` (kernel construction + hashing) is folded into
+/// `prepare`; `grip` (the scheduler proper) into `schedule`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageBreakdown {
     /// Kernel build + unwind + induction folding + DDG construction.
@@ -109,7 +110,47 @@ impl StageBreakdown {
             + self.audit_ns
             + self.bounds_ns
     }
+
+    /// The stage-coverage rule: the stages account for at least
+    /// [`MIN_COVERAGE`] of a wall of 1 ms or more. More unaccounted time
+    /// means a stage span is missing; below 1 ms timer noise dominates,
+    /// so shorter walls always pass.
+    pub fn covers_wall(&self) -> bool {
+        self.total_ns < 1_000_000
+            || self.stage_sum_ns() as f64 >= MIN_COVERAGE * self.total_ns as f64
+    }
+
+    /// The wire object: the seven fields, in nanoseconds.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .field("prepare_ns", self.prepare_ns)
+            .field("schedule_ns", self.schedule_ns)
+            .field("hazards_ns", self.hazards_ns)
+            .field("verify_ns", self.verify_ns)
+            .field("audit_ns", self.audit_ns)
+            .field("bounds_ns", self.bounds_ns)
+            .field("total_ns", self.total_ns)
+    }
+
+    /// Parse the [`StageBreakdown::to_json`] shape (missing or negative
+    /// fields read as 0).
+    pub fn from_json(j: &Json) -> StageBreakdown {
+        let ns = |name: &str| j.get(name).and_then(Json::as_i64).unwrap_or(0).max(0) as u64;
+        StageBreakdown {
+            prepare_ns: ns("prepare_ns"),
+            schedule_ns: ns("schedule_ns"),
+            hazards_ns: ns("hazards_ns"),
+            verify_ns: ns("verify_ns"),
+            audit_ns: ns("audit_ns"),
+            bounds_ns: ns("bounds_ns"),
+            total_ns: ns("total_ns"),
+        }
+    }
 }
+
+/// The least share of a measured wall its stage self times must account
+/// for ([`StageBreakdown::covers_wall`]).
+pub const MIN_COVERAGE: f64 = 0.95;
 
 /// RAII guard for one span; closing records self time (see module docs).
 #[must_use = "a span ends when its guard drops"]

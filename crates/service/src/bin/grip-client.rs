@@ -17,9 +17,10 @@
 //!
 //! grip-client --check [--expect-hits] [--metrics] [--probes]
 //!             [--latency-summary]
-//!     read responses from stdin; fail (exit 1) on any !ok, unverified,
-//!     stalled, or template-violating response, or any grip-audit
-//!     report carrying diagnostics — and, with
+//!     read responses from stdin; fail (exit 1) on any response at
+//!     fault (ScheduleResponse::fault: !ok, unverified, stalled,
+//!     template-violating, a grip-audit report carrying diagnostics, or
+//!     a grip-bounds certificate the schedule undercuts) — and, with
 //!     --expect-hits, if no response was served from the schedule
 //!     cache; with --metrics, validate the metrics frames (nonzero
 //!     stage counters, lint-clean Prometheus text); with --probes,
@@ -30,15 +31,13 @@
 //!     summary
 //!
 //! grip-client --addr HOST:PORT [--repeat K] [--n N] [--seed S]
-//!             [--rate R --duration S] [--deadline-ms D]
-//!             [--max-inflight M] [--metrics] [--probes]
+//!             [--rate R --duration S] [--metrics] [--probes]
 //!             [--latency-summary]
 //!     drive a TCP server with the same sweep and check + summarize the
 //!     responses; with --rate/--duration the driver goes open-loop
 //!     (fixed arrival rate, never waiting for responses), reporting
-//!     client-side sojourn latency, the over-deadline count
-//!     (--deadline-ms), and arrivals shed because --max-inflight
-//!     requests were already outstanding
+//!     client-side sojourn latency and the most requests outstanding
+//!     at an arrival
 //! ```
 //!
 //! `--latency-summary` prints a per-request latency histogram (the
@@ -73,11 +72,6 @@ struct Opts {
     rate: Option<f64>,
     /// Open-loop run length, seconds.
     duration: Option<f64>,
-    /// Sojourn budget for the open-loop TCP driver; 0 disables.
-    deadline_ms: u64,
-    /// Open-loop TCP arrivals are shed (skipped, counted) beyond this
-    /// many outstanding requests; 0 means unbounded.
-    max_inflight: usize,
 }
 
 enum Mode {
@@ -89,8 +83,8 @@ enum Mode {
 fn usage() -> ! {
     eprintln!(
         "usage: grip-client (--emit | --check [--expect-hits] | --addr HOST:PORT) \
-         [--repeat K] [--n N] [--seed S] [--rate R --duration S] [--deadline-ms D] \
-         [--max-inflight M] [--metrics] [--probes] [--latency-summary]"
+         [--repeat K] [--n N] [--seed S] [--rate R --duration S] [--metrics] [--probes] \
+         [--latency-summary]"
     );
     std::process::exit(2)
 }
@@ -109,8 +103,6 @@ fn parse_args() -> Opts {
         latency_summary: false,
         rate: None,
         duration: None,
-        deadline_ms: 0,
-        max_inflight: 0,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -140,13 +132,6 @@ fn parse_args() -> Opts {
                         .filter(|s: &f64| *s > 0.0)
                         .unwrap_or_else(|| usage()),
                 )
-            }
-            "--deadline-ms" => {
-                opts.deadline_ms = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--max-inflight" => {
-                opts.max_inflight =
-                    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
             }
             "--expect-hits" => opts.expect_hits = true,
             "--metrics" => opts.metrics = true,
@@ -224,14 +209,8 @@ impl Frames {
 /// Client-side accounting for one open-loop run.
 #[derive(Clone, Copy, Debug, Default)]
 struct OpenLoopStats {
-    /// Arrivals the rate schedule generated.
-    offered: usize,
-    /// Requests actually written.
+    /// Requests written.
     sent: usize,
-    /// Arrivals skipped because `--max-inflight` was reached.
-    shed: usize,
-    /// Responses whose client-side sojourn exceeded `--deadline-ms`.
-    over_budget: usize,
     /// Largest outstanding-request count observed at an arrival instant.
     max_inflight_seen: usize,
 }
@@ -337,8 +316,8 @@ fn drive_tcp(opts: &Opts, addr: &str) {
     });
     let reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
     // Outstanding-request count, shared between the paced writer (inc)
-    // and the reader (dec) — the open-loop shed decision and the
-    // queue-pressure sample both read it at arrival instants.
+    // and the reader (dec) — the queue-pressure sample reads it at
+    // arrival instants.
     let inflight = Arc::new(AtomicUsize::new(0));
     // Send timestamps ride to the reader in request order (responses are
     // answered in order), giving client-side sojourn latency.
@@ -347,7 +326,6 @@ fn drive_tcp(opts: &Opts, addr: &str) {
 
     let reqs = audit_workload(opts);
     let open_loop = opts.rate.zip(opts.duration);
-    let max_inflight = opts.max_inflight;
     let want_metrics = opts.metrics;
     let want_probes = opts.probes;
     let inflight_w = Arc::clone(&inflight);
@@ -359,26 +337,16 @@ fn drive_tcp(opts: &Opts, addr: &str) {
                 let period = Duration::from_secs_f64(1.0 / rate);
                 let start = Instant::now();
                 let mut next = start;
-                let mut i = 0usize;
                 while start.elapsed().as_secs_f64() < secs {
-                    ol.offered += 1;
                     let outstanding = inflight_w.load(Ordering::Acquire);
                     ol.max_inflight_seen = ol.max_inflight_seen.max(outstanding);
-                    if max_inflight > 0 && outstanding >= max_inflight {
-                        // Open-loop semantics: a full pipeline sheds the
-                        // arrival instead of delaying the schedule.
-                        ol.shed += 1;
-                    } else {
-                        let mut req = reqs[i % reqs.len()].clone();
-                        req.id = i as u64 + 1;
-                        i += 1;
-                        inflight_w.fetch_add(1, Ordering::AcqRel);
-                        stamp_tx.send(Instant::now()).expect("reader gone");
-                        writeln!(w, "{}", proto::request_to_json(&req).line())
-                            .expect("send request");
-                        w.flush().expect("flush request");
-                        ol.sent += 1;
-                    }
+                    let mut req = reqs[ol.sent % reqs.len()].clone();
+                    req.id = ol.sent as u64 + 1;
+                    inflight_w.fetch_add(1, Ordering::AcqRel);
+                    stamp_tx.send(Instant::now()).expect("reader gone");
+                    writeln!(w, "{}", proto::request_to_json(&req).line()).expect("send request");
+                    w.flush().expect("flush request");
+                    ol.sent += 1;
                     next += period;
                     pace_until(next);
                 }
@@ -388,7 +356,6 @@ fn drive_tcp(opts: &Opts, addr: &str) {
                     inflight_w.fetch_add(1, Ordering::AcqRel);
                     stamp_tx.send(Instant::now()).expect("reader gone");
                     writeln!(w, "{}", proto::request_to_json(&req).line()).expect("send request");
-                    ol.offered += 1;
                     ol.sent += 1;
                 }
             }
@@ -431,7 +398,7 @@ fn drive_tcp(opts: &Opts, addr: &str) {
             sojourn_ns.push(sent_at.elapsed().as_nanos() as u64);
         }
     }
-    let mut ol = writer.join().expect("writer thread");
+    let ol = writer.join().expect("writer thread");
     if frames.responses.len() != ol.sent {
         eprintln!(
             "[grip-client] connection closed after {}/{} responses",
@@ -440,12 +407,7 @@ fn drive_tcp(opts: &Opts, addr: &str) {
         );
         std::process::exit(1);
     }
-    if opts.deadline_ms > 0 {
-        let budget = opts.deadline_ms.saturating_mul(1_000_000);
-        ol.over_budget = sojourn_ns.iter().filter(|&&ns| ns > budget).count();
-    }
-    let open = opts.rate.is_some() || opts.deadline_ms > 0 || opts.max_inflight > 0;
-    finish(opts, &frames, Some(t0.elapsed()), open.then_some((ol, sojourn_ns)));
+    finish(opts, &frames, Some(t0.elapsed()), opts.rate.is_some().then_some((ol, sojourn_ns)));
 }
 
 /// Validate the `metrics` command answers: the JSON snapshot must carry
@@ -552,7 +514,7 @@ fn check_probe_frames(frames: &Frames) -> Result<(), String> {
         .filter(|(n, _)| n.starts_with("grip_stage_self_ns_"))
         .map(|(_, j)| sum_of(j))
         .sum();
-    if (stage_sum as f64) < 0.95 * wall as f64 {
+    if (stage_sum as f64) < grip_obs::span::MIN_COVERAGE * wall as f64 {
         return Err(format!(
             "windowed stage self-times cover only {:.1}% of the windowed wall \
              ({stage_sum} of {wall} ns)",
@@ -610,47 +572,9 @@ fn finish(
 ) {
     let responses = &frames.responses;
     let mut violations = 0usize;
-    for r in responses {
-        // Any non-empty diagnostic list fails the run, whatever its
-        // codes: the auditor proved something about this schedule that
-        // the dynamic checks did not see.
-        let audit_dirty = r.audit.as_ref().is_some_and(|a| !a.diagnostics.is_empty());
-        // Bound soundness: the certificate bounds one full traversal of
-        // the steady window, and a trip count of at least `n - 5` (the
-        // deepest kernel induction offset) forces `trip/unwind - 2`
-        // complete traversals — no response may report fewer VM cycles
-        // than the scaled proven bound.
-        let bound_unsound = r.bounds.as_ref().is_some_and(|b| {
-            let trip = (r.n.max(5) - 5) as u64;
-            let traversals = if r.unwind > 0 && trip >= r.unwind as u64 {
-                (trip / r.unwind as u64).saturating_sub(2).max(1)
-            } else {
-                0
-            };
-            r.ok && r.sched_cycles < traversals * b.bound_cycles
-        });
-        let bad = !r.ok
-            || !r.verified
-            || r.sched_stalls != 0
-            || r.template_violations != 0
-            || audit_dirty
-            || bound_unsound;
-        if bad {
-            violations += 1;
-            eprintln!(
-                "[grip-client] VIOLATION {} on {}: ok={} verified={} stalls={} templates={} \
-                 audit={} bounds={} {}",
-                r.kernel,
-                r.machine,
-                r.ok,
-                r.verified,
-                r.sched_stalls,
-                r.template_violations,
-                r.audit.as_ref().map_or("absent".to_string(), |a| a.summary()),
-                r.bounds.as_ref().map_or("absent".to_string(), |b| b.summary()),
-                r.error.as_deref().unwrap_or(""),
-            );
-        }
+    for fault in responses.iter().filter_map(ScheduleResponse::fault) {
+        violations += 1;
+        eprintln!("[grip-client] VIOLATION {fault}");
     }
     let hits = responses.iter().filter(|r| r.cache == CacheStatus::Hit).count();
     let ddg_hits = responses.iter().filter(|r| r.cache == CacheStatus::DdgHit).count();
@@ -680,11 +604,7 @@ fn finish(
         summary = summary.field(
             "open_loop",
             Json::obj()
-                .field("offered", ol.offered)
                 .field("sent", ol.sent)
-                .field("shed", ol.shed)
-                .field("over_budget", ol.over_budget)
-                .field("deadline_ms", opts.deadline_ms)
                 .field("max_inflight_seen", ol.max_inflight_seen)
                 .field("sojourn_p50_us", us(percentile(&sorted, 0.50)))
                 .field("sojourn_p99_us", us(percentile(&sorted, 0.99))),

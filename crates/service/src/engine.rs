@@ -207,24 +207,9 @@ impl Engine {
         timings: &grip_obs::StageTimings,
     ) {
         let rec = grip_obs::events::global();
-        let slow = (timings.total_ns >= rec.slow_threshold_ns()).then(|| {
-            let s = &resp.stats;
-            SlowCapture {
-                spans: timings.stages.iter().map(|&(n, ns)| (n.to_string(), ns)).collect(),
-                counters: vec![
-                    ("picks".to_string(), s.picks),
-                    ("hops".to_string(), s.hops),
-                    ("arrivals".to_string(), s.arrivals),
-                    ("renames".to_string(), s.renames),
-                    ("splits".to_string(), s.splits),
-                    ("suspensions".to_string(), s.suspensions),
-                    ("gap_rejections".to_string(), s.gap_rejections),
-                    ("resource_blocks".to_string(), s.resource_blocks),
-                    ("latency_blocks".to_string(), s.latency_blocks),
-                    ("dce_removed".to_string(), s.dce_removed),
-                    ("nodes_deleted".to_string(), s.nodes_deleted),
-                ],
-            }
+        let slow = (timings.total_ns >= rec.slow_threshold_ns()).then(|| SlowCapture {
+            spans: timings.stages.iter().map(|&(n, ns)| (n.to_string(), ns)).collect(),
+            counters: resp.stats.named().into_iter().map(|(n, v)| (n.to_string(), v)).collect(),
         });
         rec.record(FlightRecord {
             trace_id: resp.trace_id.clone(),
@@ -312,11 +297,14 @@ impl Engine {
 
         // Prepared-window (DDG) cache: machine-independent, so a request
         // for a new machine at a known (kernel, unwind) skips unwinding,
-        // induction folding, and DDG construction entirely.
+        // induction folding, and DDG construction entirely. Copying the
+        // sequential graph into a new window, and the window into the
+        // graph the scheduler mutates, is preparation too.
         let dkey: DdgKey = (kernel_hash, unwind, req.options.fold_inductions);
         let (entry, ddg_hit) = match self.ddg_cache.get(&dkey) {
             Some(e) => (Rc::clone(e), true),
             None => {
+                let _span = grip_obs::span!("prepare");
                 let mut g = g0.clone();
                 let prep = prepare(&mut g, unwind, req.options.fold_inductions);
                 let e = Rc::new(PreparedEntry { graph: g, prep });
@@ -324,11 +312,14 @@ impl Engine {
                 (e, false)
             }
         };
+        let (mut g, window) = {
+            let _span = grip_obs::span!("prepare");
+            (entry.graph.clone(), entry.prep.window.clone())
+        };
 
-        let mut g = entry.graph.clone();
         let rep = schedule_window(
             &mut g,
-            entry.prep.window.clone(),
+            window,
             &entry.prep.ddg,
             PipelineOptions {
                 unwind,
@@ -354,11 +345,17 @@ impl Engine {
         if rep.bounds.at_bound {
             grip_obs::counter!("grip_at_bound_total").inc();
         }
+        let (schedule_rows, body_speedup, stats) =
+            (rep.steady.len(), rep.speedup().unwrap_or(f64::NAN), rep.stats);
 
         let (verified, seq_cycles, sched_cycles, sched_stalls, template_violations, state_digest) = {
             let _span = grip_obs::span!("verify");
             grip_obs::counter!("grip_verify_runs_total").inc();
-            verify(kernel, &g0, &g, req.n, &desc)
+            let outcome = verify(kernel, &g0, &g, req.n, &desc);
+            // Verification is the last reader of both graphs, the report
+            // and the prepared window: they are freed under its span.
+            drop((g, g0, rep, entry));
+            outcome
         };
 
         let resp = ScheduleResponse {
@@ -371,7 +368,7 @@ impl Engine {
             unwind,
             kernel_hash,
             machine_fp,
-            schedule_rows: rep.steady.len(),
+            schedule_rows,
             seq_cycles,
             sched_cycles,
             sched_stalls,
@@ -381,8 +378,8 @@ impl Engine {
             } else {
                 f64::NAN
             },
-            body_speedup: rep.speedup().unwrap_or(f64::NAN),
-            stats: rep.stats,
+            body_speedup,
+            stats,
             verified,
             state_digest,
             cache: if ddg_hit { CacheStatus::DdgHit } else { CacheStatus::Miss },

@@ -41,5 +41,6 @@ pub use fingerprint::graph_fingerprint;
 pub use pool::{JobMeta, ShardedPool};
 pub use service::{Service, ServiceConfig, ServiceStats};
 pub use types::{
-    inline_machine, CacheStatus, EngineOptions, MachineSpec, ScheduleRequest, ScheduleResponse,
+    bound_sound, inline_machine, CacheStatus, EngineOptions, MachineSpec, ScheduleRequest,
+    ScheduleResponse,
 };

@@ -353,17 +353,7 @@ pub fn response_to_json(r: &ScheduleResponse) -> Json {
         .field("trace", r.trace_id.as_str())
         .field("stats", stats_to_json(&r.stats));
     let j = match &r.timings {
-        Some(t) => j.field(
-            "timings",
-            Json::obj()
-                .field("prepare_ns", t.prepare_ns)
-                .field("schedule_ns", t.schedule_ns)
-                .field("hazards_ns", t.hazards_ns)
-                .field("verify_ns", t.verify_ns)
-                .field("audit_ns", t.audit_ns)
-                .field("bounds_ns", t.bounds_ns)
-                .field("total_ns", t.total_ns),
-        ),
+        Some(t) => j.field("timings", t.to_json()),
         None => j,
     };
     let j = match &r.audit {
@@ -421,18 +411,7 @@ pub fn response_from_json(j: &Json) -> Result<ScheduleResponse, String> {
         },
         shard: int("shard") as usize,
         trace_id: j.get("trace").and_then(Json::as_str).unwrap_or("").to_string(),
-        timings: j.get("timings").map(|t| {
-            let ns = |name: &str| t.get(name).and_then(Json::as_i64).unwrap_or(0) as u64;
-            grip_obs::StageBreakdown {
-                prepare_ns: ns("prepare_ns"),
-                schedule_ns: ns("schedule_ns"),
-                hazards_ns: ns("hazards_ns"),
-                verify_ns: ns("verify_ns"),
-                audit_ns: ns("audit_ns"),
-                bounds_ns: ns("bounds_ns"),
-                total_ns: ns("total_ns"),
-            }
-        }),
+        timings: j.get("timings").map(grip_obs::StageBreakdown::from_json),
         audit: match j.get("audit") {
             None | Some(Json::Null) => None,
             Some(a) => Some(grip_audit::AuditReport::from_json(a)?),

@@ -1,6 +1,7 @@
 //! The service's job shapes: [`ScheduleRequest`] in, [`ScheduleResponse`]
 //! out.
 
+use grip_bounds::BoundCertificate;
 use grip_core::ScheduleStats;
 use grip_machine::{LatencyTable, MachineDesc, UNCAPPED};
 use grip_obs::StageBreakdown;
@@ -252,7 +253,7 @@ pub struct ScheduleResponse {
     /// The `grip-bounds` optimality certificate for the scheduled window.
     /// Proven on every cold run and cached with the response; delivered
     /// iff the request opted in via [`ScheduleRequest::want_bounds`].
-    pub bounds: Option<grip_bounds::BoundCertificate>,
+    pub bounds: Option<BoundCertificate>,
 }
 
 impl ScheduleResponse {
@@ -288,6 +289,42 @@ impl ScheduleResponse {
         }
     }
 
+    /// What is wrong with this response, if anything: it failed, did not
+    /// verify, stalls, breaks an issue template, carries an audit report
+    /// with diagnostics, or carries a bound certificate it undercuts
+    /// ([`bound_sound`]). Only what the response carries is checked: one
+    /// without an audit report or a certificate is not at fault for it.
+    pub fn fault(&self) -> Option<String> {
+        let audit_dirty = self.audit.as_ref().is_some_and(|a| !a.is_clean());
+        let bound_unsound = self.bounds.as_ref().is_some_and(|b| {
+            !bound_sound(b, self.n, self.unwind, self.schedule_rows, self.sched_cycles)
+        });
+        let clean = self.ok
+            && self.verified
+            && self.sched_stalls == 0
+            && self.template_violations == 0
+            && !audit_dirty
+            && !bound_unsound;
+        (!clean).then(|| {
+            format!(
+                "{} on {}: ok={} verified={} stalls={} templates={} audit={} bounds={} rows={} \
+                 cycles={} unwind={} {}",
+                self.kernel,
+                self.machine,
+                self.ok,
+                self.verified,
+                self.sched_stalls,
+                self.template_violations,
+                self.audit.as_ref().map_or("absent".to_string(), |a| a.summary()),
+                self.bounds.as_ref().map_or("absent".to_string(), |b| b.summary()),
+                self.schedule_rows,
+                self.sched_cycles,
+                self.unwind,
+                self.error.as_deref().unwrap_or(""),
+            )
+        })
+    }
+
     /// Bitwise content equality: every field that must be identical
     /// between a cache hit and a cold run (floats compared by bit
     /// pattern; the per-delivery fields
@@ -315,6 +352,30 @@ impl ScheduleResponse {
             && self.verified == other.verified
             && self.state_digest == other.state_digest
     }
+}
+
+/// The bound-soundness rule for a schedule of a kernel at trip count
+/// `n`, unwound `unwind` times. The certificate bounds one full
+/// traversal of the steady window, so the steady rows may never undercut
+/// it. The loop runs at least `n - 5` iterations (the deepest kernel
+/// induction offset, LL4's), which forces `trip / unwind - 2` complete
+/// traversals (slack for the prologue pass and the final partial one),
+/// at least one once the trip covers the unwind; each costs the bound,
+/// so the model cycles may not undercut their product either.
+pub fn bound_sound(
+    cert: &BoundCertificate,
+    n: i64,
+    unwind: usize,
+    schedule_rows: usize,
+    sched_cycles: u64,
+) -> bool {
+    let trip = (n.max(5) - 5) as u64;
+    let traversals = if unwind > 0 && trip >= unwind as u64 {
+        (trip / unwind as u64).saturating_sub(2).max(1)
+    } else {
+        0
+    };
+    schedule_rows as u64 >= cert.bound_cycles && sched_cycles >= traversals * cert.bound_cycles
 }
 
 #[cfg(test)]
@@ -350,6 +411,57 @@ mod tests {
             grip_machine::LatencyTable { alu: 1, fpu: 4, fpu_long: 16, mem: 2, branch: 1 },
         );
         assert_eq!(epic.fingerprint(), MachineDesc::epic8().fingerprint());
+    }
+
+    #[test]
+    fn fault_names_each_broken_rule() {
+        // n = 48 at unwind 10: a trip of 43 forces 43 / 10 - 2 = 2 full
+        // traversals, so a bound of 4 rows needs at least 8 cycles.
+        let req = ScheduleRequest::new("LL1", 48, MachineSpec::Preset("epic8".into()));
+        let mut clean = ScheduleResponse::failure(&req, String::new());
+        clean.ok = true;
+        clean.error = None;
+        clean.verified = true;
+        clean.unwind = 10;
+        clean.schedule_rows = 4;
+        clean.sched_cycles = 8;
+        clean.audit = Some(grip_audit::AuditReport::default());
+        clean.bounds = Some(BoundCertificate {
+            bound_cycles: 4,
+            binding_constraint: grip_bounds::BindingConstraint::RecMii,
+            gap_pct: 0.0,
+            at_bound: true,
+        });
+        assert_eq!(clean.fault(), None);
+        let bare = ScheduleResponse { audit: None, bounds: None, ..clean.clone() };
+        assert_eq!(bare.fault(), None, "only what a response carries is checked");
+
+        let dirty = grip_audit::AuditReport {
+            diagnostics: vec![grip_audit::Diagnostic {
+                code: grip_audit::AuditCode::LatencyShadow,
+                row: 2,
+                op: None,
+                register: None,
+                message: "read in a latency shadow".into(),
+            }],
+            ..Default::default()
+        };
+        let faults: [(&str, ScheduleResponse); 7] = [
+            ("not ok", ScheduleResponse { ok: false, ..clean.clone() }),
+            ("unverified", ScheduleResponse { verified: false, ..clean.clone() }),
+            ("a stall", ScheduleResponse { sched_stalls: 1, ..clean.clone() }),
+            ("a template violation", ScheduleResponse { template_violations: 1, ..clean.clone() }),
+            ("a dirty audit", ScheduleResponse { audit: Some(dirty), ..clean.clone() }),
+            ("rows below the bound", ScheduleResponse { schedule_rows: 3, ..clean.clone() }),
+            (
+                "cycles below the traversal floor",
+                ScheduleResponse { sched_cycles: 7, ..clean.clone() },
+            ),
+        ];
+        for (what, r) in faults {
+            let fault = r.fault().unwrap_or_else(|| panic!("{what} passed"));
+            assert!(fault.starts_with("LL1 on epic8: "), "{what}: {fault}");
+        }
     }
 
     #[test]
